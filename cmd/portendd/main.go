@@ -2,15 +2,15 @@
 // daemon that accepts many concurrent analysis submissions, streams
 // verdicts back as NDJSON, and keeps per-submission persistent cache
 // tiers so repeat analyses of the same program start warm (solver memo,
-// concrete and symbolic checkpoints, sibling-outcome memos survive
-// across requests). With -data-dir the tiers are also durable: each is
+// concrete and symbolic checkpoints survive across requests). With
+// -data-dir the tiers are also durable: each is
 // serialized to a checksummed on-disk file and restored lazily after a
 // restart, so warmth survives crashes and redeploys.
 //
 // Usage:
 //
 //	portendd [-addr :7811] [-slots N] [-queue-soft 2] [-queue-hard 8]
-//	         [-memory-budget-mb 256] [-max-tiers N] [-solver-ceiling N]
+//	         [-memory-budget-mb 256] [-max-tiers N] [-parallel N]
 //	         [-data-dir DIR] [-run-timeout D] [-drain-timeout 10s]
 //	         [-faults SPEC]
 //
@@ -49,7 +49,6 @@ func main() {
 	queueHard := flag.Int("queue-hard", 8, "per-tenant queue depth at which requests are shed with 429")
 	memBudget := flag.Int("memory-budget-mb", 256, "collective memory budget for persistent cache tiers (measured)")
 	maxTiers := flag.Int("max-tiers", 0, "cache-tier count bound (0 = derive from -memory-budget-mb)")
-	solverCeiling := flag.Int("solver-ceiling", 0, "adaptive solver-cache ceiling per tier (0 = default)")
 	parallel := flag.Int("parallel", 0, "default per-request classification pool width (0 = GOMAXPROCS)")
 	dataDir := flag.String("data-dir", "", "directory for durable cache tiers (empty = in-memory only)")
 	runTimeout := flag.Duration("run-timeout", 0, "per-run watchdog; runs past it end with a terminal error event (0 = off)")
@@ -81,16 +80,15 @@ func main() {
 	}
 
 	srv := server.New(server.Config{
-		Slots:              *slots,
-		QueueSoft:          *queueSoft,
-		QueueHard:          *queueHard,
-		MemoryBudgetMB:     *memBudget,
-		MaxTiers:           *maxTiers,
-		SolverCacheCeiling: *solverCeiling,
-		DefaultParallel:    *parallel,
-		DataDir:            *dataDir,
-		RunTimeout:         *runTimeout,
-		DrainTimeout:       *drainTimeout,
+		Slots:           *slots,
+		QueueSoft:       *queueSoft,
+		QueueHard:       *queueHard,
+		MemoryBudgetMB:  *memBudget,
+		MaxTiers:        *maxTiers,
+		DefaultParallel: *parallel,
+		DataDir:         *dataDir,
+		RunTimeout:      *runTimeout,
+		DrainTimeout:    *drainTimeout,
 	})
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}

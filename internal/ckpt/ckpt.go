@@ -330,14 +330,10 @@ func (s *Store) Resume(limit int64, accept func(*vm.State) bool) (st *vm.State, 
 // PendingFork is one sibling state queued (but not yet explored) when a
 // symbolic checkpoint was taken: the forked state — its hints already
 // steering it down the unexplored branch side — and the controller that
-// continues its schedule. ID, when non-zero, names the stored snapshot
-// this fork was cloned from: every Resume of the same entry hands back
-// the same IDs, which is what lets explorations of different races
-// share sibling outcomes (see SiblingOutcome).
+// continues its schedule.
 type PendingFork struct {
 	State *vm.State
 	Ctl   vm.Controller
-	ID    uint64
 }
 
 // symEntry is one symbolic exploration snapshot: the mainline state and
@@ -383,94 +379,6 @@ type SymStore struct {
 
 	hits   atomic.Int64
 	misses atomic.Int64
-
-	// Sibling-outcome memoization. Stored pending forks get stable IDs at
-	// Add time; after an exploration runs a resumed fork to completion
-	// under conditions that make the run independent of which race is
-	// being classified (see SiblingOutcome), the outcome is recorded here
-	// and later explorations resuming the same entry skip the re-run.
-	forkIDs  atomic.Uint64
-	memoMu   sync.Mutex
-	memo     map[uint64]SiblingOutcome
-	memoHits atomic.Int64
-}
-
-// TouchedObj identifies one shared-object class a sibling run accessed
-// (heap objects collapse to Obj 0, mirroring the engine's per-object
-// access accounting).
-type TouchedObj struct {
-	Space vm.Space
-	Obj   int64
-}
-
-// SiblingOutcome memoizes how a stored pending fork's exploration went
-// when run to completion: how many symbolic branch decisions it took and
-// which shared-object classes it touched. A recorded outcome is only
-// valid for explorations whose breakpoint object the run never touched —
-// for those, the sibling contributes nothing but its branch count, which
-// the skipping exploration credits without re-executing. The caller
-// (internal/core) is responsible for only recording runs whose outcome
-// is provably independent of the classified race.
-type SiblingOutcome struct {
-	Branches int
-	Touched  []TouchedObj
-}
-
-// TouchedAny reports whether the recorded run accessed the given object
-// class.
-func (o SiblingOutcome) TouchedAny(space vm.Space, obj int64) bool {
-	for _, t := range o.Touched {
-		if t.Space == space && t.Obj == obj {
-			return true
-		}
-	}
-	return false
-}
-
-// maxSiblingMemo bounds the memo map; recording simply stops at the cap
-// (a memo is pure optimization — an unrecorded sibling is re-run).
-const maxSiblingMemo = 4096
-
-// SiblingOutcome returns the memoized outcome for a stored fork ID.
-func (s *SymStore) SiblingOutcome(id uint64) (SiblingOutcome, bool) {
-	if id == 0 {
-		return SiblingOutcome{}, false
-	}
-	s.memoMu.Lock()
-	o, ok := s.memo[id]
-	s.memoMu.Unlock()
-	if ok {
-		s.memoHits.Add(1)
-	}
-	return o, ok
-}
-
-// RecordSibling memoizes a completed sibling run's outcome. No-op at the
-// cap or for ID 0.
-func (s *SymStore) RecordSibling(id uint64, o SiblingOutcome) {
-	if id == 0 {
-		return
-	}
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if s.memo == nil {
-		s.memo = make(map[uint64]SiblingOutcome)
-	}
-	if _, exists := s.memo[id]; !exists && len(s.memo) >= maxSiblingMemo {
-		return
-	}
-	s.memo[id] = o
-}
-
-// MemoHits returns how many SiblingOutcome lookups found a recorded
-// outcome.
-func (s *SymStore) MemoHits() int { return int(s.memoHits.Load()) }
-
-// MemoLen returns the number of recorded sibling outcomes.
-func (s *SymStore) MemoLen() int {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	return len(s.memo)
 }
 
 // NewSymStore returns a symbolic store bounded to max entries (<= 0
@@ -540,18 +448,7 @@ func (s *SymStore) Add(st *vm.State, ctl vm.CloneableController, forks []Pending
 			if !ok {
 				return // an unreplayable fork poisons the whole snapshot
 			}
-			// Each stored fork gets a stable ID; every Resume of this
-			// entry hands the same ID back, keying sibling-outcome memos.
-			// A fork that already carries an ID keeps it: the caller is
-			// re-depositing a still-unrun clone of a previously stored
-			// fork (same state bit for bit), and keeping the ID is what
-			// lets a memo recorded against one entry's copy serve resumes
-			// of every later entry that still queues it.
-			id := f.ID
-			if id == 0 {
-				id = s.forkIDs.Add(1)
-			}
-			e.forks = append(e.forks, PendingFork{State: f.State.Clone(), Ctl: cc.CloneCtl(), ID: id})
+			e.forks = append(e.forks, PendingFork{State: f.State.Clone(), Ctl: cc.CloneCtl()})
 		}
 	}
 
@@ -595,7 +492,7 @@ func (s *SymStore) Resume(limit int64, accept func(*vm.State) bool) (*SymResume,
 		r.Forks = make([]PendingFork, 0, len(found.forks))
 		for _, f := range found.forks {
 			cc := f.Ctl.(vm.CloneableController) // stored forks are always cloneable
-			r.Forks = append(r.Forks, PendingFork{State: f.State.Clone(), Ctl: cc.CloneCtl(), ID: f.ID})
+			r.Forks = append(r.Forks, PendingFork{State: f.State.Clone(), Ctl: cc.CloneCtl()})
 		}
 	}
 	return r, true

@@ -98,26 +98,20 @@ type ExportedSymEntry struct {
 }
 
 // ExportedSymStore is the full serializable content of a SymStore:
-// entries, thinning position, hit counters, the sibling-outcome memo
-// table, and the fork-ID counter (restored so post-restart deposits
-// never mint an ID that collides with a memoized one).
+// entries, thinning position, and hit counters.
 type ExportedSymStore struct {
 	Entries []ExportedSymEntry
 	Stride  int64
 	Thinned int64
 	Hits    int64
 	Misses  int64
-
-	Memos    map[uint64]SiblingOutcome
-	MemoHits int64
-	ForkIDs  uint64
 }
 
 // Export returns the symbolic store's content for serialization. States,
 // controllers, and fork payloads are the live stored entries: read-only.
-// The memo map is a copy and safe to walk.
 func (s *SymStore) Export() ExportedSymStore {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	x := ExportedSymStore{
 		Stride:  s.tab.stride,
 		Thinned: s.tab.thinned,
@@ -138,18 +132,6 @@ func (s *SymStore) Export() ExportedSymStore {
 			})
 		}
 	}
-	s.mu.Unlock()
-
-	x.MemoHits = s.memoHits.Load()
-	x.ForkIDs = s.forkIDs.Load()
-	s.memoMu.Lock()
-	if len(s.memo) > 0 {
-		x.Memos = make(map[uint64]SiblingOutcome, len(s.memo))
-		for id, o := range s.memo {
-			x.Memos[id] = o
-		}
-	}
-	s.memoMu.Unlock()
 	return x
 }
 
@@ -157,6 +139,7 @@ func (s *SymStore) Export() ExportedSymStore {
 // exported one, taking ownership of everything in x.
 func (s *SymStore) Import(x ExportedSymStore) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.tab.entries = s.tab.entries[:0]
 	for _, e := range x.Entries {
 		if len(s.tab.entries) >= s.tab.max {
@@ -181,26 +164,6 @@ func (s *SymStore) Import(x ExportedSymStore) {
 	s.tab.thinned = x.Thinned
 	s.hits.Store(x.Hits)
 	s.misses.Store(x.Misses)
-	s.mu.Unlock()
-
-	s.memoHits.Store(x.MemoHits)
-	// Never lower the counter: IDs minted since construction must stay
-	// unique against the restored memo table.
-	for {
-		cur := s.forkIDs.Load()
-		if x.ForkIDs <= cur || s.forkIDs.CompareAndSwap(cur, x.ForkIDs) {
-			break
-		}
-	}
-	s.memoMu.Lock()
-	s.memo = nil
-	if len(x.Memos) > 0 {
-		s.memo = make(map[uint64]SiblingOutcome, len(x.Memos))
-		for id, o := range x.Memos {
-			s.memo[id] = o
-		}
-	}
-	s.memoMu.Unlock()
 }
 
 // MemBytes estimates the heap footprint of all stored mainline and

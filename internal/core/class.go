@@ -225,12 +225,6 @@ type Options struct {
 	// inputs, options) — see CacheTier. Ignored when NoCache is set.
 	Tier *CacheTier
 
-	// SolverCacheCeiling bounds the adaptive solver cache's growth for
-	// runs that create their own caches (<= 0 means the default ceiling;
-	// see solver.NewAdaptiveCache). A server hosting many tiers sets this
-	// to budget memory per tier.
-	SolverCacheCeiling int
-
 	// shared carries the per-run caches (replay checkpoints, solver
 	// memo) that RunStream threads through every classifier it builds.
 	// nil lets each Classifier create its own private set.
@@ -304,13 +298,6 @@ type Stats struct {
 	SymCheckpointHits int
 	SolverCacheHits   int
 
-	// SiblingMemoHits counts pending-fork re-runs this classification
-	// skipped via the symbolic store's sibling-outcome memo (the skipped
-	// run's branch decisions are still credited to Branches). Like the
-	// checkpoint hit counters it depends on what earlier work memoized,
-	// so it may vary with pool width and cache warmth.
-	SiblingMemoHits int
-
 	// PrunedSchedules counts multi-path worklist items skipped by the
 	// static dead-item prune: pending exploration items none of whose
 	// live frames can (per internal/sa's reach facts) access the racy
@@ -355,14 +342,6 @@ type Stats struct {
 	// whichever race was being timed — a warmth indicator, not a precise
 	// per-race cost.
 	SolverCacheEvictions int
-
-	// SolverCacheCap is the solver cache's capacity when this race
-	// finished classifying — fixed for explicitly sized caches, the
-	// adaptively chosen size otherwise. SolverCacheResizes counts
-	// adaptive growth events that landed while this race classified
-	// (same attribution caveat as SolverCacheEvictions).
-	SolverCacheCap     int
-	SolverCacheResizes int
 
 	Duration time.Duration
 }

@@ -25,10 +25,9 @@ type Classifier struct {
 	// concrete store; symHits counts multi-path explorations that resumed
 	// from the symbolic store. Both are only touched from the goroutine
 	// driving ClassifyCtx.
-	shared      *sharedCaches
-	ckptHits    int
-	symHits     int
-	sibMemoHits int // pending-fork re-runs skipped via the sibling memo
+	shared   *sharedCaches
+	ckptHits int
+	symHits  int
 
 	// prunedSchedules counts worklist items the static dead-item prune
 	// skipped; pathItemsRun counts items that executed. Both are only
@@ -195,7 +194,6 @@ func (c *Classifier) ClassifyCtx(cctx context.Context, rep *race.Report, tr *tra
 // classification; finishStats turns it into per-race deltas.
 type statsSnap struct {
 	queries, cacheHits, ckptHits, symHits, evictions int
-	sibMemoHits, resizes                             int
 	prunedSchedules, pathItemsRun                    int
 	fused, interned                                  int64
 	cloneAllocs, cloneBytes                          int64
@@ -207,7 +205,6 @@ func (c *Classifier) snapStats() statsSnap {
 		cacheHits:       c.sol.CacheHits(),
 		ckptHits:        c.ckptHits,
 		symHits:         c.symHits,
-		sibMemoHits:     c.sibMemoHits,
 		prunedSchedules: c.prunedSchedules,
 		pathItemsRun:    c.pathItemsRun,
 		fused:           c.vmCounters.FusedOps.Load(),
@@ -217,7 +214,6 @@ func (c *Classifier) snapStats() statsSnap {
 	}
 	if c.sol.Cache != nil {
 		s.evictions = c.sol.Cache.Evictions()
-		s.resizes = c.sol.Cache.Resizes()
 	}
 	return s
 }
@@ -227,7 +223,6 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 	v.Stats.SolverCacheHits = c.sol.CacheHits() - snap.cacheHits
 	v.Stats.CheckpointHits = c.ckptHits - snap.ckptHits
 	v.Stats.SymCheckpointHits = c.symHits - snap.symHits
-	v.Stats.SiblingMemoHits = c.sibMemoHits - snap.sibMemoHits
 	v.Stats.PrunedSchedules = c.prunedSchedules - snap.prunedSchedules
 	v.Stats.PathItemsRun = c.pathItemsRun - snap.pathItemsRun
 	v.Stats.FusedOps = c.vmCounters.FusedOps.Load() - snap.fused
@@ -236,8 +231,6 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 	v.Stats.CloneBytes = c.vmCounters.CloneBytes.Load() - snap.cloneBytes
 	if c.sol.Cache != nil {
 		v.Stats.SolverCacheEvictions = c.sol.Cache.Evictions() - snap.evictions
-		v.Stats.SolverCacheCap = c.sol.Cache.Cap()
-		v.Stats.SolverCacheResizes = c.sol.Cache.Resizes() - snap.resizes
 	}
 	if mp != nil {
 		v.Stats.Branches = mp.branches

@@ -46,13 +46,6 @@ type pathItem struct {
 	// the only item whose parked states are deposited into the symbolic
 	// checkpoint store.
 	mainline bool
-
-	// forkID, when non-zero, names the stored symbolic-checkpoint fork
-	// this item was resumed from. Explorations of different races resume
-	// the same stored entries and re-run the same sibling forks; the ID
-	// keys the sibling-outcome memo that lets later explorations skip
-	// those re-runs (see collectPrimaries).
-	forkID uint64
 }
 
 func cloneCtl(c vm.Controller) vm.Controller {
@@ -128,7 +121,7 @@ func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) exploratio
 			c.symHits++
 			pending := make([]*pathItem, len(r.Forks))
 			for i, f := range r.Forks {
-				pending[i] = &pathItem{st: f.State, ctl: f.Ctl, forkID: f.ID}
+				pending[i] = &pathItem{st: f.State, ctl: f.Ctl}
 			}
 			return explorationRoot{
 				item:      &pathItem{st: r.State, ctl: r.Ctl, skipped: r.Steps, mainline: true},
@@ -206,12 +199,7 @@ func (c *Classifier) depositSym(sym *ckpt.SymStore, it *pathItem, work []*pathIt
 	if len(work) > 0 {
 		forks = make([]ckpt.PendingFork, len(work))
 		for i, w := range work {
-			// Forward the fork's stored ID (zero for freshly forked
-			// siblings): a still-unrun resumed fork re-deposited under a
-			// later park is byte-identical to its original snapshot, and
-			// keeping its ID lets one recorded sibling outcome serve
-			// every entry that queues the fork.
-			forks[i] = ckpt.PendingFork{State: w.st, Ctl: w.ctl, ID: w.forkID}
+			forks[i] = ckpt.PendingFork{State: w.st, Ctl: w.ctl}
 		}
 	}
 	sym.Add(it.st, cc, forks, eng.Branches(), c.Opts.MaxForks-eng.ForksLeft(), dropped)
@@ -262,39 +250,12 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 		}
 		c.pathItemsRun++
 
-		// Sibling-outcome memoization: a resumed pending fork that a prior
-		// exploration already ran to completion would repeat that run here
-		// instruction for instruction — same state, same budget, and (when
-		// the recorded run never touched this race's object) a breakpoint
-		// that provably never fires. Such a run contributes no primary, no
-		// fork, and no queue growth; only its branch decisions count.
-		// Credit them from the memo and skip the re-run.
-		var sibTrack *touchTrack
-		branchesBefore := 0
-		if it.forkID != 0 && sym != nil {
-			if o, ok := sym.SiblingOutcome(it.forkID); ok {
-				if !o.TouchedAny(space, normObj(space, obj)) {
-					eng.Seed(o.Branches, 0)
-					c.sibMemoHits++
-					continue
-				}
-			} else {
-				sibTrack = newTouchTrack()
-				it.st.Observers = append(it.st.Observers, sibTrack)
-				branchesBefore = eng.Branches()
-			}
-		}
-		forkedThis := false
-
 		m := c.newMachine(it.st, it.ctl)
 		onFork := func(sib *vm.State) {
-			forkedThis = true
 			// Only the mainline deposits symbolic snapshots, so forked
 			// siblings never consult the access counter — strip it before
-			// it gets cloned down the sibling's whole subtree. The touch
-			// tracker goes with it: a forked run is never memoized.
+			// it gets cloned down the sibling's whole subtree.
 			dropAccessCounter(sib)
-			dropTouchTrack(sib)
 			if len(work) >= maxQueue {
 				dropped++
 				return
@@ -369,31 +330,12 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 				// (Re-)checkpoint before the most recent first access.
 				it.pre = it.st.Clone()
 				dropAccessCounter(it.pre) // enforcement clones need no counting
-				dropTouchTrack(it.pre)
 				it.preTID = tid
 				m.Break = nil
 				m.Step()
 			default:
 				m.Break = nil
 				m.Step()
-			}
-		}
-		if sibTrack != nil {
-			dropTouchTrack(it.st)
-			// Record only runs whose outcome is provably identical for any
-			// later exploration that skips them: one uninterrupted segment
-			// (terminal stop — not a breakpoint, not a cancellation) that
-			// neither forked nor had a fork suppressed by an exhausted
-			// budget. Forking depends only on the run's own branches and
-			// the shared fork counter; a no-fork run with budget to spare
-			// forks nothing on a re-run either.
-			if !pruned && !it.raceHit && !forkedThis &&
-				res.Kind != vm.StopBreak && res.Kind != vm.StopCancelled &&
-				eng.ForksLeft() > 0 {
-				sym.RecordSibling(it.forkID, ckpt.SiblingOutcome{
-					Branches: eng.Branches() - branchesBefore,
-					Touched:  sibTrack.list(),
-				})
 			}
 		}
 		if pruned || !it.raceHit {

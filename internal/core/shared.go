@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -45,7 +44,7 @@ func newSharedCaches(opts Options) *sharedCaches {
 	return &sharedCaches{
 		store: ckpt.NewStore(opts.MaxCheckpoints),
 		sym:   ckpt.NewSymStore(opts.MaxCheckpoints),
-		cache: solver.NewAdaptiveCache(0, opts.SolverCacheCeiling),
+		cache: solver.NewCache(0),
 	}
 }
 
@@ -190,67 +189,6 @@ func (ac *accessCounter) readsAt(space vm.Space, obj int64, tid int, line int32)
 // touchedObj reports whether the object class has been accessed at all.
 func (ac *accessCounter) touchedObj(space vm.Space, obj int64) bool {
 	return ac.touched[objClass{space, normObj(space, obj)}]
-}
-
-// touchTrack is the minimal observer behind sibling-outcome memoization:
-// it records only which object classes a run accesses (no read counts),
-// so a completed pending-fork run can be summarized as "touched these
-// objects, decided this many branches" and skipped by later explorations
-// whose racy object is not in the set.
-// It copy-on-writes its map the same way accessCounter does.
-type touchTrack struct {
-	touched map[objClass]bool
-	shared  uint32 // atomic; 1 while the map may be shared with a clone
-}
-
-func newTouchTrack() *touchTrack { return &touchTrack{touched: map[objClass]bool{}} }
-
-// OnAccess implements vm.Observer.
-func (t *touchTrack) OnAccess(st *vm.State, tid int, loc vm.Loc, write bool, pc bytecode.PCRef, tInstr int64) {
-	if atomic.LoadUint32(&t.shared) != 0 {
-		touched := make(map[objClass]bool, len(t.touched))
-		for k, v := range t.touched {
-			touched[k] = v
-		}
-		t.touched = touched
-		atomic.StoreUint32(&t.shared, 0)
-	}
-	t.touched[objClass{loc.Space, normObj(loc.Space, loc.Obj)}] = true
-}
-
-// OnSync implements vm.Observer (no-op).
-func (t *touchTrack) OnSync(st *vm.State, ev vm.SyncEvent) {}
-
-// CloneObs implements vm.Observer; O(1), see accessCounter.
-func (t *touchTrack) CloneObs() vm.Observer {
-	atomic.StoreUint32(&t.shared, 1)
-	return &touchTrack{touched: t.touched, shared: 1}
-}
-
-// list renders the touched set as ckpt's wire form, sorted so the memo
-// entry is independent of map iteration order.
-func (t *touchTrack) list() []ckpt.TouchedObj {
-	out := make([]ckpt.TouchedObj, 0, len(t.touched))
-	for k := range t.touched {
-		out = append(out, ckpt.TouchedObj{Space: k.space, Obj: k.obj})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Space != out[j].Space {
-			return out[i].Space < out[j].Space
-		}
-		return out[i].Obj < out[j].Obj
-	})
-	return out
-}
-
-// dropTouchTrack removes the touch tracker from a state's observers.
-func dropTouchTrack(st *vm.State) {
-	for i, o := range st.Observers {
-		if _, ok := o.(*touchTrack); ok {
-			st.Observers = append(st.Observers[:i], st.Observers[i+1:]...)
-			return
-		}
-	}
 }
 
 // findAccessCounter retrieves the replay's access counter, if any.

@@ -15,8 +15,8 @@ import (
 )
 
 // This file gives CacheTier a durable form: Snapshot renders everything
-// the tier holds — concrete and symbolic checkpoints, pending forks,
-// sibling memos, and the solver cache — into one gob-friendly value, and
+// the tier holds — concrete and symbolic checkpoints, pending forks, and
+// the solver cache — into one gob-friendly value, and
 // Restore rebuilds a tier from it after a daemon restart.
 //
 // Soundness rests on the same determinism contract that lets a tier be
@@ -112,7 +112,6 @@ func decodeCtl(w *CtlWire, tr *trace.Trace) (vm.CloneableController, error) {
 // Observer kinds of the wire form.
 const (
 	obsAccessCounter = "access-counter"
-	obsTouchTrack    = "touch-track"
 	obsPredicate     = "predicate"
 )
 
@@ -135,11 +134,6 @@ type readWire struct {
 // the payload is canonical regardless of map iteration order.
 type acWire struct {
 	Reads   []readWire
-	Touched []objWire
-}
-
-// ttWire is the touch tracker's wire form.
-type ttWire struct {
 	Touched []objWire
 }
 
@@ -167,8 +161,8 @@ func sortedObjs(m map[objClass]bool) []objWire {
 }
 
 // encodeObs serializes the observers the engine deposits on checkpoint
-// states — access counters, touch trackers, and predicate observers;
-// anything else makes the state unserializable and its entry is skipped.
+// states — access counters and predicate observers; anything else makes
+// the state unserializable and its entry is skipped.
 func encodeObs(o vm.Observer) (kind string, data []byte, ok bool) {
 	var buf bytes.Buffer
 	switch v := o.(type) {
@@ -194,11 +188,6 @@ func encodeObs(o vm.Observer) (kind string, data []byte, ok bool) {
 			return "", nil, false
 		}
 		return obsAccessCounter, buf.Bytes(), true
-	case *touchTrack:
-		if err := gob.NewEncoder(&buf).Encode(ttWire{Touched: sortedObjs(v.touched)}); err != nil {
-			return "", nil, false
-		}
-		return obsTouchTrack, buf.Bytes(), true
 	case *PredicateObserver:
 		w := predWire{Violation: v.Violation, Names: make([]string, len(v.Preds))}
 		for i, p := range v.Preds {
@@ -266,16 +255,6 @@ func decodeObs(kind string, data []byte) (vm.Observer, error) {
 			ac.touched[objClass{space: vm.Space(t.Space), obj: t.Obj}] = true
 		}
 		return ac, nil
-	case obsTouchTrack:
-		var w ttWire
-		if err := dec.Decode(&w); err != nil {
-			return nil, fmt.Errorf("core: touch-track observer: %w", err)
-		}
-		tt := newTouchTrack()
-		for _, t := range w.Touched {
-			tt.touched[objClass{space: vm.Space(t.Space), obj: t.Obj}] = true
-		}
-		return tt, nil
 	}
 	return nil, fmt.Errorf("core: unknown observer kind %q", kind)
 }
@@ -291,7 +270,6 @@ type ConcreteEntryWire struct {
 type ForkWire struct {
 	State *vm.StateWire
 	Ctl   *CtlWire
-	ID    uint64
 }
 
 // SymEntryWire is one symbolic mainline checkpoint in wire form.
@@ -306,13 +284,6 @@ type SymEntryWire struct {
 	Dropped   int
 }
 
-// SiblingMemoWire is one memoized sibling outcome, keyed by fork ID.
-type SiblingMemoWire struct {
-	ID       uint64
-	Branches int
-	Touched  []ckpt.TouchedObj
-}
-
 // SolverEntryWire is one memoized solver query; Flat references the
 // solver section's shared node table.
 type SolverEntryWire struct {
@@ -323,21 +294,18 @@ type SolverEntryWire struct {
 	ModelNames []string
 	ModelVals  []int64
 
-	Res         solver.Result
-	SearchNodes int
+	Res solver.Result
 }
 
 // SolverCacheWire is the solver cache in wire form, entries in LRU order
 // (most recently used first) over one shared expression node table.
 type SolverCacheWire struct {
-	Cap     int
 	Nodes   []expr.NodeWire
 	Entries []SolverEntryWire
 
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Resizes   int64
 }
 
 // TierSnapshot is the durable form of a CacheTier. All fields are
@@ -366,10 +334,6 @@ type TierSnapshot struct {
 	SymThinned int64
 	SymHits    int64
 	SymMisses  int64
-
-	Memos    []SiblingMemoWire
-	MemoHits int64
-	ForkIDs  uint64
 
 	Solver *SolverCacheWire
 }
@@ -441,7 +405,6 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 	sx := sh.sym.Export()
 	snap.SymStride, snap.SymThinned = sx.Stride, sx.Thinned
 	snap.SymHits, snap.SymMisses = sx.Hits, sx.Misses
-	snap.MemoHits, snap.ForkIDs = sx.MemoHits, sx.ForkIDs
 	for _, e := range sx.Entries {
 		sw, ok := vm.EncodeState(e.State, encodeObs)
 		if !ok {
@@ -467,7 +430,7 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 				ok = false
 				break
 			}
-			ew.Forks = append(ew.Forks, ForkWire{State: fsw, Ctl: fcw, ID: f.ID})
+			ew.Forks = append(ew.Forks, ForkWire{State: fsw, Ctl: fcw})
 		}
 		if !ok {
 			continue // an unserializable fork poisons the whole entry, as in Add
@@ -477,10 +440,6 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 		}
 		snap.Sym = append(snap.Sym, ew)
 	}
-	for id, o := range sx.Memos {
-		snap.Memos = append(snap.Memos, SiblingMemoWire{ID: id, Branches: o.Branches, Touched: o.Touched})
-	}
-	sort.Slice(snap.Memos, func(i, j int) bool { return snap.Memos[i].ID < snap.Memos[j].ID })
 
 	snap.Program = prog
 	snap.Solver = encodeSolver(sh.cache.Export())
@@ -489,16 +448,13 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 
 // encodeSolver renders a solver cache export over one shared node table.
 func encodeSolver(x solver.CacheExport) *SolverCacheWire {
-	w := &SolverCacheWire{
-		Cap:  x.Cap,
-		Hits: x.Hits, Misses: x.Misses, Evictions: x.Evictions, Resizes: x.Resizes,
-	}
+	w := &SolverCacheWire{Hits: x.Hits, Misses: x.Misses, Evictions: x.Evictions}
 	enc := expr.NewEncoder()
 	for _, e := range x.Entries {
 		ew := SolverEntryWire{
 			Flat:  enc.AddList(e.Flat),
 			Binds: e.Binds,
-			Res:   e.Res, SearchNodes: e.Nodes,
+			Res:   e.Res,
 		}
 		if e.Model != nil {
 			ew.HasModel = true
@@ -567,7 +523,6 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	sx := ckpt.ExportedSymStore{
 		Stride: snap.SymStride, Thinned: snap.SymThinned,
 		Hits: snap.SymHits, Misses: snap.SymMisses,
-		MemoHits: snap.MemoHits, ForkIDs: snap.ForkIDs,
 	}
 	for _, ew := range snap.Sym {
 		st, err := vm.DecodeState(prog, ew.State, decObs)
@@ -582,24 +537,18 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 			Steps: ew.Steps, State: st, Ctl: ctl,
 			Branches: ew.Branches, ForksUsed: ew.ForksUsed, Dropped: ew.Dropped,
 		}
-		for _, fw := range ew.Forks {
+		for i, fw := range ew.Forks {
 			fst, err := vm.DecodeState(prog, fw.State, decObs)
 			if err != nil {
-				return fmt.Errorf("pending fork %d: %w", fw.ID, err)
+				return fmt.Errorf("symbolic checkpoint @%d fork %d: %w", ew.Steps, i, err)
 			}
 			fctl, err := decodeCtl(fw.Ctl, tr)
 			if err != nil {
-				return fmt.Errorf("pending fork %d: %w", fw.ID, err)
+				return fmt.Errorf("symbolic checkpoint @%d fork %d: %w", ew.Steps, i, err)
 			}
-			xe.Forks = append(xe.Forks, ckpt.PendingFork{State: fst, Ctl: fctl, ID: fw.ID})
+			xe.Forks = append(xe.Forks, ckpt.PendingFork{State: fst, Ctl: fctl})
 		}
 		sx.Entries = append(sx.Entries, xe)
-	}
-	if len(snap.Memos) > 0 {
-		sx.Memos = make(map[uint64]ckpt.SiblingOutcome, len(snap.Memos))
-		for _, m := range snap.Memos {
-			sx.Memos[m.ID] = ckpt.SiblingOutcome{Branches: m.Branches, Touched: m.Touched}
-		}
 	}
 
 	var solverX solver.CacheExport
@@ -628,10 +577,7 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 
 // decodeSolver rebuilds a solver cache export from its wire form.
 func decodeSolver(w *SolverCacheWire) (solver.CacheExport, error) {
-	x := solver.CacheExport{
-		Cap:  w.Cap,
-		Hits: w.Hits, Misses: w.Misses, Evictions: w.Evictions, Resizes: w.Resizes,
-	}
+	x := solver.CacheExport{Hits: w.Hits, Misses: w.Misses, Evictions: w.Evictions}
 	dec, err := expr.NewDecoder(w.Nodes)
 	if err != nil {
 		return x, fmt.Errorf("solver cache: %w", err)
@@ -641,7 +587,7 @@ func decodeSolver(w *SolverCacheWire) (solver.CacheExport, error) {
 		if err != nil {
 			return x, fmt.Errorf("solver entry %d: %w", i, err)
 		}
-		e := solver.CacheEntryExport{Flat: flat, Binds: ew.Binds, Res: ew.Res, Nodes: ew.SearchNodes}
+		e := solver.CacheEntryExport{Flat: flat, Binds: ew.Binds, Res: ew.Res}
 		if ew.HasModel {
 			if len(ew.ModelNames) != len(ew.ModelVals) {
 				return x, fmt.Errorf("solver entry %d: model name/value mismatch", i)

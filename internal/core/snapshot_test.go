@@ -12,10 +12,13 @@ import (
 // BeginRun to (re)bind the trace, Run with the tier attached, end.
 func runOnTier(t *testing.T, tier *CacheTier, src string, inputs []int64) *Result {
 	t.Helper()
+	return runOnTierWith(t, tier, src, snapshotTestOptions(), inputs)
+}
+
+// runOnTierWith is runOnTier under explicit options.
+func runOnTierWith(t *testing.T, tier *CacheTier, src string, opts Options, inputs []int64) *Result {
+	t.Helper()
 	p := bytecode.MustCompile(src, "snaptest", bytecode.Options{})
-	opts := DefaultOptions()
-	opts.Parallel = 1
-	opts.DetectCheckpointEvery = 64
 	opts.Tier = tier
 	end := tier.BeginRun()
 	defer end()
@@ -26,11 +29,15 @@ func runOnTier(t *testing.T, tier *CacheTier, src string, inputs []int64) *Resul
 	return res
 }
 
-func newSnapshotTestTier() *CacheTier {
+func snapshotTestOptions() Options {
 	opts := DefaultOptions()
 	opts.Parallel = 1
 	opts.DetectCheckpointEvery = 64
-	return NewCacheTier(opts)
+	return opts
+}
+
+func newSnapshotTestTier() *CacheTier {
+	return NewCacheTier(snapshotTestOptions())
 }
 
 // TestTierSnapshotRoundTrip is the durability tentpole at the core seam:

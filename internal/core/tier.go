@@ -63,9 +63,9 @@ func (t *CacheTier) StaticFacts(compute func() *sa.Facts) *sa.Facts {
 	return t.facts
 }
 
-// NewCacheTier builds an empty tier sized by the options' cache bounds
-// (MaxCheckpoints per store, SolverCacheCeiling for the adaptive solver
-// cache).
+// NewCacheTier builds an empty tier sized by the options' checkpoint
+// bound (MaxCheckpoints per store); the solver cache holds
+// solver.DefaultCacheSize entries.
 func NewCacheTier(opts Options) *CacheTier {
 	return &CacheTier{shared: newSharedCaches(opts)}
 }
@@ -103,6 +103,10 @@ func (t *CacheTier) Runs() int64 {
 
 // TierStats is a point-in-time snapshot of a tier's cache population and
 // traffic, aggregated across every run that used it.
+//
+// SibMemoHits and SolverResizes are always zero. They counted a
+// sibling-outcome memo and adaptive solver-cache growth that no longer
+// exist, and stay only so existing readers of the struct keep compiling.
 type TierStats struct {
 	Checkpoints       int
 	CheckpointHits    int
@@ -113,14 +117,12 @@ type TierStats struct {
 	SymHits        int
 	SymMisses      int
 	SymThinned     int
-	SiblingMemos   int
 	SibMemoHits    int
 
 	SolverEntries   int
 	SolverHits      int
 	SolverMisses    int
 	SolverEvictions int
-	SolverCap       int
 	SolverResizes   int
 }
 
@@ -142,14 +144,10 @@ func (t *CacheTier) Stats() TierStats {
 		SymHits:        sh.sym.Hits(),
 		SymMisses:      sh.sym.Misses(),
 		SymThinned:     sh.sym.Thinned(),
-		SiblingMemos:   sh.sym.MemoLen(),
-		SibMemoHits:    sh.sym.MemoHits(),
 
 		SolverEntries:   sh.cache.Len(),
 		SolverHits:      sh.cache.Hits(),
 		SolverMisses:    sh.cache.Misses(),
 		SolverEvictions: sh.cache.Evictions(),
-		SolverCap:       sh.cache.Cap(),
-		SolverResizes:   sh.cache.Resizes(),
 	}
 }

@@ -108,11 +108,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g("portend_tier_checkpoint_thinned_total", "Concrete checkpoints dropped by store thinning.", "counter", agg.CheckpointThinned)
 	g("portend_tier_sym_checkpoints", "Symbolic exploration checkpoints resident across tiers.", "gauge", agg.SymCheckpoints)
 	g("portend_tier_sym_hits_total", "Explorations resumed from a tier's symbolic store.", "counter", agg.SymHits)
-	g("portend_tier_sibling_memos", "Memoized sibling outcomes resident across tiers.", "gauge", agg.SiblingMemos)
-	g("portend_tier_sibling_memo_hits_total", "Pending-fork re-runs skipped via sibling memos.", "counter", agg.SibMemoHits)
 	g("portend_tier_solver_entries", "Solver memo entries resident across tiers.", "gauge", agg.SolverEntries)
 	g("portend_tier_solver_hits_total", "Solver queries answered from a tier's memo.", "counter", agg.SolverHits)
 	g("portend_tier_solver_evictions_total", "Solver memo entries evicted (LRU) across tiers.", "counter", agg.SolverEvictions)
-	g("portend_tier_solver_cap", "Summed adaptive solver-cache capacity across tiers.", "gauge", agg.SolverCap)
-	g("portend_tier_solver_resizes_total", "Adaptive solver-cache growth steps across tiers.", "counter", agg.SolverResizes)
 }

@@ -186,16 +186,13 @@ type DoneInfo struct {
 
 // TierInfo is the wire form of a cache tier's population and traffic.
 type TierInfo struct {
-	Runs            int64 `json:"runs"`
-	Checkpoints     int   `json:"checkpoints"`
-	CheckpointHits  int   `json:"checkpointHits"`
-	SymCheckpoints  int   `json:"symCheckpoints"`
-	SymHits         int   `json:"symHits"`
-	SiblingMemoHits int   `json:"siblingMemoHits"`
-	SolverEntries   int   `json:"solverEntries"`
-	SolverHits      int   `json:"solverHits"`
-	SolverCap       int   `json:"solverCap"`
-	SolverResizes   int   `json:"solverResizes"`
+	Runs           int64 `json:"runs"`
+	Checkpoints    int   `json:"checkpoints"`
+	CheckpointHits int   `json:"checkpointHits"`
+	SymCheckpoints int   `json:"symCheckpoints"`
+	SymHits        int   `json:"symHits"`
+	SolverEntries  int   `json:"solverEntries"`
+	SolverHits     int   `json:"solverHits"`
 }
 
 // LintIssue is one static diagnostic attached to a 422 rejection.

@@ -76,15 +76,14 @@ func keyFor(req *Request, opts core.Options) tierKey {
 // tierRegistry is the LRU-bounded map from submission key to its
 // persistent cache tier. Eviction drops whole tiers (their stores and
 // solver memo) — the memory budget is enforced at tier granularity,
-// against measured tier footprints (core.CacheTier.MemBytes), with the
-// tier-count bound as a hard backstop.
+// against measured tier footprints (core.CacheTier.MemBytes), with a
+// hard tier-count bound on top (which binds first; see estTierMB).
 type tierRegistry struct {
 	mu          sync.Mutex
 	max         int
 	budgetBytes int64 // measured-footprint budget (0 = count bound only)
 	m           map[tierKey]*list.Element
 	lru         list.List // front = most recently used
-	opts        core.Options
 
 	evictions int64
 }
@@ -95,13 +94,12 @@ type tierEntry struct {
 }
 
 // newTierRegistry builds a registry holding at most max tiers within
-// budgetBytes of measured footprint, each tier sized by opts' cache
-// bounds (MaxCheckpoints, SolverCacheCeiling).
-func newTierRegistry(max int, budgetBytes int64, opts core.Options) *tierRegistry {
+// budgetBytes of measured footprint.
+func newTierRegistry(max int, budgetBytes int64) *tierRegistry {
 	if max < 1 {
 		max = 1
 	}
-	return &tierRegistry{max: max, budgetBytes: budgetBytes, m: make(map[tierKey]*list.Element), opts: opts}
+	return &tierRegistry{max: max, budgetBytes: budgetBytes, m: make(map[tierKey]*list.Element)}
 }
 
 // get returns the tier for key, creating it on first sight. Creation
@@ -115,7 +113,7 @@ func (r *tierRegistry) get(key tierKey) (tier *core.CacheTier, created bool) {
 		r.lru.MoveToFront(el)
 		return el.Value.(*tierEntry).tier, false
 	}
-	t := core.NewCacheTier(r.opts)
+	t := core.NewCacheTier(core.DefaultOptions())
 	r.m[key] = r.lru.PushFront(&tierEntry{key: key, tier: t})
 	for len(r.m) > 1 && (len(r.m) > r.max || (r.budgetBytes > 0 && r.bytesLocked() > r.budgetBytes)) {
 		oldest := r.lru.Back()
@@ -187,14 +185,10 @@ func (r *tierRegistry) snapshot() (n int, evictions int64, bytes int64, agg core
 		agg.SymHits += s.SymHits
 		agg.SymMisses += s.SymMisses
 		agg.SymThinned += s.SymThinned
-		agg.SiblingMemos += s.SiblingMemos
-		agg.SibMemoHits += s.SibMemoHits
 		agg.SolverEntries += s.SolverEntries
 		agg.SolverHits += s.SolverHits
 		agg.SolverMisses += s.SolverMisses
 		agg.SolverEvictions += s.SolverEvictions
-		agg.SolverCap += s.SolverCap
-		agg.SolverResizes += s.SolverResizes
 	}
 	return len(r.m), r.evictions, bytes, agg
 }

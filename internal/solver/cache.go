@@ -37,17 +37,6 @@ import (
 // time — an evicted query is simply re-searched, deterministically — so
 // it can never change a verdict.
 //
-// An adaptive cache (NewAdaptiveCache, and the NewCache(0) default)
-// additionally sizes itself: instead of evicting at a fixed cap, it
-// doubles its capacity — up to a hard ceiling — while the memoized work
-// it saves per lookup (observed hit rate × the average search cost of a
-// stored entry, in search-tree nodes) exceeds the bookkeeping cost of
-// holding one more entry. A cache that rarely hits, or whose entries
-// were cheap to compute, stays small and evicts; one that keeps
-// answering expensive repeat queries grows toward the ceiling. Resizing
-// only changes how much is memoized, never what a lookup returns, so
-// like eviction it cannot change a verdict.
-//
 // A Cache must only be shared between Solvers built with the same
 // Options (the engine derives every worker's solver from one configuration).
 //
@@ -59,20 +48,12 @@ type Cache struct {
 	size int
 	max  int
 
-	// ceiling > 0 marks the cache adaptive: max may double up to ceiling
-	// under the growth rule (see growIfWorthwhile). sumNodes is the total
-	// search cost (in search-tree nodes) of the stored entries — the
-	// re-search work the current population memoizes.
-	ceiling  int
-	sumNodes int64
-
 	// LRU list: head is most recently used, tail is next to evict.
 	head, tail *cacheEntry
 
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	resizes   atomic.Int64
 }
 
 // hintBinding is one variable's concolic hint as captured in a key:
@@ -91,57 +72,22 @@ type cacheEntry struct {
 	binds []hintBinding
 	model expr.Assignment // nil unless res == Sat
 	res   Result
-	nodes int // search-tree nodes the memoized search visited
 
 	chain      *cacheEntry // next entry with the same hash bucket
 	prev, next *cacheEntry // LRU list
 }
 
-// DefaultCacheSize is the historical fixed bound; an adaptive cache may
-// grow past it up to DefaultCacheCeiling.
+// DefaultCacheSize is the bound NewCache(0) selects.
 const DefaultCacheSize = 8192
 
-// Adaptive sizing defaults: a NewCache(0) cache starts small and may
-// double up to the ceiling while the growth rule holds.
-const (
-	DefaultCacheInitial = 1024
-	DefaultCacheCeiling = 4 * DefaultCacheSize
-
-	// entryCostNodes prices holding one more entry in units of
-	// search-tree nodes. Growth is worthwhile while the expected
-	// re-search work a lookup saves (hit rate × average stored search
-	// cost) exceeds this; below it, evicting and re-searching on demand
-	// is cheaper than the memory.
-	entryCostNodes = 16.0
-)
-
-// NewCache returns a cache bounded to max entries. max <= 0 selects the
-// adaptive default — NewAdaptiveCache(DefaultCacheInitial,
-// DefaultCacheCeiling) — while an explicit positive max stays fixed
-// forever. When full, inserting either grows the cap (adaptive caches,
-// while worthwhile) or evicts the least-recently-used entry.
+// NewCache returns a cache bounded to max entries (<= 0 selects
+// DefaultCacheSize). When full, inserting evicts the least-recently-used
+// entry.
 func NewCache(max int) *Cache {
 	if max <= 0 {
-		return NewAdaptiveCache(0, 0)
+		max = DefaultCacheSize
 	}
 	return &Cache{m: make(map[uint64]*cacheEntry), max: max}
-}
-
-// NewAdaptiveCache returns a cache that starts with capacity initial and
-// doubles — up to ceiling — while hit-rate × average entry search cost
-// beats the per-entry holding cost (see the Cache doc comment).
-// Non-positive arguments select DefaultCacheInitial / DefaultCacheCeiling.
-func NewAdaptiveCache(initial, ceiling int) *Cache {
-	if initial <= 0 {
-		initial = DefaultCacheInitial
-	}
-	if ceiling <= 0 {
-		ceiling = DefaultCacheCeiling
-	}
-	if ceiling < initial {
-		ceiling = initial
-	}
-	return &Cache{m: make(map[uint64]*cacheEntry), max: initial, ceiling: ceiling}
 }
 
 // Len returns the number of memoized queries.
@@ -160,17 +106,6 @@ func (c *Cache) Misses() int { return int(c.misses.Load()) }
 // Evictions returns how many memoized queries were discarded to make
 // room for new ones.
 func (c *Cache) Evictions() int { return int(c.evictions.Load()) }
-
-// Cap returns the current capacity — fixed for NewCache(max > 0), the
-// adaptively chosen size otherwise.
-func (c *Cache) Cap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.max
-}
-
-// Resizes returns how many times an adaptive cache grew its capacity.
-func (c *Cache) Resizes() int { return int(c.resizes.Load()) }
 
 // queryHash folds the canonical form of a query into the 64-bit cache
 // key: the ordered flat conjuncts' structural hashes and the hints of
@@ -248,10 +183,8 @@ func (c *Cache) get(hash uint64, flat []expr.Expr, names []string, hints expr.As
 
 // put memoizes a result. flat and names are retained (Solve builds both
 // fresh per query); the model is copied, so callers may keep mutating
-// their own instance. nodes is the search-tree size of the search being
-// memoized — the work a future hit saves — and feeds the adaptive
-// growth rule.
-func (c *Cache) put(hash uint64, flat []expr.Expr, names []string, hints expr.Assignment, model expr.Assignment, res Result, nodes int) {
+// their own instance.
+func (c *Cache) put(hash uint64, flat []expr.Expr, names []string, hints expr.Assignment, model expr.Assignment, res Result) {
 	var stored expr.Assignment
 	if model != nil {
 		stored = make(expr.Assignment, len(model))
@@ -264,7 +197,7 @@ func (c *Cache) put(hash uint64, flat []expr.Expr, names []string, hints expr.As
 		v, ok := hints[n]
 		binds[i] = hintBinding{name: n, val: v, bound: ok}
 	}
-	e := &cacheEntry{hash: hash, flat: flat, binds: binds, model: stored, res: res, nodes: nodes}
+	e := &cacheEntry{hash: hash, flat: flat, binds: binds, model: stored, res: res}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,40 +206,13 @@ func (c *Cache) put(hash uint64, flat []expr.Expr, names []string, hints expr.As
 			return
 		}
 	}
-	if c.size >= c.max && !c.growIfWorthwhile() {
+	if c.size >= c.max {
 		c.evictLRU()
 	}
 	e.chain = c.m[hash]
 	c.m[hash] = e
 	c.pushFront(e)
 	c.size++
-	c.sumNodes += int64(nodes)
-}
-
-// growIfWorthwhile applies the adaptive growth rule at a full insert:
-// double the cap (clamped to the ceiling) while the expected re-search
-// work one lookup saves — hit rate so far × average search cost of a
-// stored entry — exceeds the per-entry holding cost. Returns whether the
-// cap grew (in which case the caller skips eviction). Caller holds c.mu.
-func (c *Cache) growIfWorthwhile() bool {
-	if c.ceiling == 0 || c.max >= c.ceiling || c.size == 0 {
-		return false
-	}
-	lookups := c.hits.Load() + c.misses.Load()
-	if lookups == 0 {
-		return false
-	}
-	hitRate := float64(c.hits.Load()) / float64(lookups)
-	avgNodes := float64(c.sumNodes) / float64(c.size)
-	if hitRate*avgNodes <= entryCostNodes {
-		return false
-	}
-	c.max *= 2
-	if c.max > c.ceiling {
-		c.max = c.ceiling
-	}
-	c.resizes.Add(1)
-	return true
 }
 
 // evictLRU drops the least-recently-used entry. Caller holds c.mu.
@@ -333,7 +239,6 @@ func (c *Cache) evictLRU() {
 	}
 	victim.chain = nil
 	c.size--
-	c.sumNodes -= int64(victim.nodes)
 	c.evictions.Add(1)
 }
 

@@ -233,3 +233,51 @@ func BenchmarkSolveCached(b *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt for debugging edits
+
+// TestCacheImportPastCapacity restores an export larger than the cache
+// (a tier written by a cache with a higher bound): the cache keeps its
+// own capacity, keeps the most recently used entries in their exported
+// LRU order, drops the oldest, and carries the lookup counters over.
+func TestCacheImportPastCapacity(t *testing.T) {
+	const extra = 5
+	n := DefaultCacheSize + extra
+	query := func(i int) []expr.Expr { return []expr.Expr{expr.Eq(x(), c(int64(i)))} }
+
+	big := NewCache(n)
+	s := New(Options{})
+	s.Cache = big
+	for i := 0; i < n; i++ {
+		s.Solve(query(i), nil)
+	}
+	exp := big.Export()
+	if len(exp.Entries) != n {
+		t.Fatalf("export holds %d entries, want %d", len(exp.Entries), n)
+	}
+	exp.Hits, exp.Misses, exp.Evictions = 11, 22, 33
+
+	cache := NewCache(0)
+	cache.Import(exp)
+	if got := cache.Len(); got != DefaultCacheSize {
+		t.Fatalf("imported len = %d, want DefaultCacheSize %d", got, DefaultCacheSize)
+	}
+	if cache.Hits() != 11 || cache.Misses() != 22 || cache.Evictions() != 33 {
+		t.Errorf("counters = %d/%d/%d hits/misses/evictions, want 11/22/33",
+			cache.Hits(), cache.Misses(), cache.Evictions())
+	}
+	got := cache.Export().Entries
+	for i := range got {
+		if !reflect.DeepEqual(got[i], exp.Entries[i]) {
+			t.Fatalf("entry %d out of LRU order after import: got %v, want %v", i, got[i].Flat, exp.Entries[i].Flat)
+		}
+	}
+
+	s.Cache = cache
+	s.Solve(query(n-1), nil)
+	if cache.Hits() != 12 {
+		t.Error("newest exported entry did not survive the import")
+	}
+	s.Solve(query(0), nil)
+	if cache.Misses() != 23 {
+		t.Error("oldest exported entry survived an import past capacity")
+	}
+}

@@ -22,21 +22,18 @@ type CacheEntryExport struct {
 	Binds []BindingExport
 	Model expr.Assignment
 	Res   Result
-	Nodes int
 }
 
 // CacheExport is the full serializable content of a Cache: the memoized
-// entries in LRU order (most recently used first), the adaptively chosen
-// capacity, and the lookup counters, so a restored cache evicts, grows,
-// and reports exactly like the one that was saved.
+// entries in LRU order (most recently used first) and the lookup
+// counters, so a restored cache evicts and reports exactly like the one
+// that was saved.
 type CacheExport struct {
-	Cap     int
 	Entries []CacheEntryExport
 
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Resizes   int64
 }
 
 // Export returns the cache's content for serialization, most recently
@@ -45,11 +42,9 @@ func (c *Cache) Export() CacheExport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	x := CacheExport{
-		Cap:       c.max,
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
 		Evictions: c.evictions.Load(),
-		Resizes:   c.resizes.Load(),
 	}
 	if c.size > 0 {
 		x.Entries = make([]CacheEntryExport, 0, c.size)
@@ -63,7 +58,6 @@ func (c *Cache) Export() CacheExport {
 				Binds: binds,
 				Model: e.model,
 				Res:   e.res,
-				Nodes: e.nodes,
 			})
 		}
 	}
@@ -71,22 +65,14 @@ func (c *Cache) Export() CacheExport {
 }
 
 // Import replaces the cache's content with a previously exported one,
-// taking ownership of the expressions and models in x. The exported
-// capacity is restored (clamped to the adaptive ceiling when one is
-// set); entries beyond it are dropped, oldest first.
+// taking ownership of the expressions and models in x. The cache keeps
+// its own capacity; entries beyond it are dropped, oldest first.
 func (c *Cache) Import(x CacheExport) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if x.Cap > 0 {
-		c.max = x.Cap
-		if c.ceiling > 0 && c.max > c.ceiling {
-			c.max = c.ceiling
-		}
-	}
 	c.m = make(map[uint64]*cacheEntry)
 	c.head, c.tail = nil, nil
 	c.size = 0
-	c.sumNodes = 0
 
 	n := len(x.Entries)
 	if n > c.max {
@@ -113,18 +99,15 @@ func (c *Cache) Import(x CacheExport) {
 			binds: binds,
 			model: ex.Model,
 			res:   ex.Res,
-			nodes: ex.Nodes,
 		}
 		e.chain = c.m[e.hash]
 		c.m[e.hash] = e
 		c.pushFront(e)
 		c.size++
-		c.sumNodes += int64(e.nodes)
 	}
 	c.hits.Store(x.Hits)
 	c.misses.Store(x.Misses)
 	c.evictions.Store(x.Evictions)
-	c.resizes.Store(x.Resizes)
 }
 
 // Estimated per-entry footprint components, in bytes (pointers, list

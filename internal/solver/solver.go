@@ -467,25 +467,24 @@ func (s *Solver) Solve(constraints []expr.Expr, hints expr.Assignment) (expr.Ass
 			return model, res
 		}
 	}
-	model, res, interrupted, nodes := s.search(flat, names, hints)
+	model, res, interrupted := s.search(flat, names, hints)
 	if s.Cache != nil && !interrupted {
-		s.Cache.put(key, flat, names, hints, model, res, nodes)
+		s.Cache.put(key, flat, names, hints, model, res)
 	}
 	return model, res
 }
 
 // search runs the actual decision procedure on an already-flattened
 // conjunction. interrupted reports that the Unknown result came from the
-// Interrupt hook rather than the search budget; nodes is the search-tree
-// size this query visited (the re-search cost a cache hit would save).
-func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment) (expr.Assignment, Result, bool, int) {
+// Interrupt hook rather than the search budget.
+func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment) (expr.Assignment, Result, bool) {
 	// Domains and propagation.
 	domains := make(map[string]*interval, len(names))
 	for _, n := range names {
 		domains[n] = &interval{lo: -s.opts.DomainRadius, hi: s.opts.DomainRadius}
 	}
 	if !propagate(flat, domains) {
-		return nil, Unsat, false, 0
+		return nil, Unsat, false
 	}
 
 	// Candidate sets.
@@ -497,9 +496,9 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		vals, complete := s.candidates(*domains[n], consts, hint, hasHint)
 		if len(vals) == 0 {
 			if complete {
-				return nil, Unsat, false, 0
+				return nil, Unsat, false
 			}
-			return nil, Unknown, false, 0
+			return nil, Unknown, false
 		}
 		cand[i] = vals
 		allComplete = allComplete && complete
@@ -594,12 +593,12 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		for k, v := range env {
 			model[k] = v
 		}
-		return model, Sat, false, nodes
+		return model, Sat, false
 	}
 	if nodes > s.opts.MaxNodes || interrupted || !allComplete {
-		return nil, Unknown, interrupted, nodes
+		return nil, Unknown, interrupted
 	}
-	return nil, Unsat, false, nodes
+	return nil, Unsat, false
 }
 
 // MayBeTrue reports whether cond can be true under the path condition.

@@ -134,16 +134,6 @@ type Stats struct {
 	// being timed when the eviction happened.
 	SolverCacheEvictions int `json:"solverCacheEvictions,omitempty"`
 
-	// SiblingMemoHits counts pending-fork re-runs this classification
-	// skipped because a memoized sibling outcome proved the fork never
-	// touches the racy object. SolverCacheCap is the solver memo's
-	// capacity when the race finished; SolverCacheResizes counts adaptive
-	// growth steps attributed to this race. Like the cache-hit counters
-	// above, all three are reuse accounting and may vary between runs.
-	SiblingMemoHits    int `json:"siblingMemoHits,omitempty"`
-	SolverCacheCap     int `json:"solverCacheCap,omitempty"`
-	SolverCacheResizes int `json:"solverCacheResizes,omitempty"`
-
 	// PrunedSchedules counts exploration worklist items the static
 	// pre-analysis proved inert for this race (no reachable access to the
 	// racy object, no reachable symbolic branch) and skipped without
@@ -231,9 +221,6 @@ func newVerdict(cv *core.Verdict, prog *bytecode.Program) Verdict {
 			CloneAllocs:          cv.Stats.CloneAllocs,
 			CloneBytes:           cv.Stats.CloneBytes,
 			SolverCacheEvictions: cv.Stats.SolverCacheEvictions,
-			SiblingMemoHits:      cv.Stats.SiblingMemoHits,
-			SolverCacheCap:       cv.Stats.SolverCacheCap,
-			SolverCacheResizes:   cv.Stats.SolverCacheResizes,
 			PrunedSchedules:      cv.Stats.PrunedSchedules,
 			PathItemsRun:         cv.Stats.PathItemsRun,
 			Duration:             cv.Stats.Duration,

@@ -326,6 +326,16 @@ type Stats struct {
 	FusedOps       int64
 	InternedConsts int64
 
+	// SkippedSteps counts enforcement instructions the interpreter
+	// fast-forwarded instead of interpreting: a spin-tracked alternate
+	// whose whole configuration provably recurs skips whole periods of
+	// its timeout budget (vm.Counters.SkippedSteps). The budget still
+	// binds exactly as if every instruction ran, so a timeout verdict
+	// with SkippedSteps > 0 reached the same end state; the count only
+	// says the budget was proven rather than interpreted. Like FusedOps
+	// it follows the speculative work the pool ran.
+	SkippedSteps int64
+
 	// CloneAllocs / CloneBytes meter State.Clone across this
 	// classification's machines: how many allocations and bytes the
 	// copy-on-write snapshots themselves cost (checkpoint deposits and

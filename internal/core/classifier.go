@@ -195,7 +195,7 @@ func (c *Classifier) ClassifyCtx(cctx context.Context, rep *race.Report, tr *tra
 type statsSnap struct {
 	queries, cacheHits, ckptHits, symHits, evictions int
 	prunedSchedules, pathItemsRun                    int
-	fused, interned                                  int64
+	fused, interned, skipped                         int64
 	cloneAllocs, cloneBytes                          int64
 }
 
@@ -209,6 +209,7 @@ func (c *Classifier) snapStats() statsSnap {
 		pathItemsRun:    c.pathItemsRun,
 		fused:           c.vmCounters.FusedOps.Load(),
 		interned:        c.vmCounters.InternedConsts.Load(),
+		skipped:         c.vmCounters.SkippedSteps.Load(),
 		cloneAllocs:     c.vmCounters.CloneAllocs.Load(),
 		cloneBytes:      c.vmCounters.CloneBytes.Load(),
 	}
@@ -227,6 +228,7 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 	v.Stats.PathItemsRun = c.pathItemsRun - snap.pathItemsRun
 	v.Stats.FusedOps = c.vmCounters.FusedOps.Load() - snap.fused
 	v.Stats.InternedConsts = c.vmCounters.InternedConsts.Load() - snap.interned
+	v.Stats.SkippedSteps = c.vmCounters.SkippedSteps.Load() - snap.skipped
 	v.Stats.CloneAllocs = c.vmCounters.CloneAllocs.Load() - snap.cloneAllocs
 	v.Stats.CloneBytes = c.vmCounters.CloneBytes.Load() - snap.cloneBytes
 	if c.sol.Cache != nil {
@@ -469,6 +471,7 @@ func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, sp
 		return enforceResult{outcome: enfError, st: alt, err: r.Err}
 	}
 	afterFP := alt.SharedMemoryFingerprint()
+	m.SpinTrack = false // only a timeout reads the spin data; fuse the completion
 	final := m.Run(c.Opts.RunBudget)
 	return enforceResult{outcome: enfOK, st: alt, afterFP: afterFP, final: final}
 }

@@ -165,3 +165,42 @@ func walk[T any](nd *node[T], shift uint, base, n int, f func(int, T) bool) bool
 	}
 	return true
 }
+
+// EqualFunc reports whether a and b have the same length and eq holds
+// for every pair of elements at equal indices. Subtrees the two vectors
+// share — everything a snapshot and its source have not written since —
+// compare equal by pointer without being walked, so comparing a vector
+// against an earlier snapshot of itself costs O(written spines), not
+// O(n). eq is only called on indices below Len.
+func EqualFunc[T any](a, b *Vector[T], eq func(x, y T) bool) bool {
+	if a.n != b.n {
+		return false
+	}
+	// Append is the only way to grow a vector, so equal lengths imply
+	// equal trie heights and the two tries can be walked in lockstep.
+	return nodesEqual(a.root, b.root, a.shift, 0, a.n, eq)
+}
+
+func nodesEqual[T any](x, y *node[T], shift uint, base, n int, eq func(T, T) bool) bool {
+	if x == y {
+		return true
+	}
+	if x == nil || y == nil {
+		return false
+	}
+	if shift == 0 {
+		for j := 0; j < width && base+j < n; j++ {
+			if !eq(x.vals[j], y.vals[j]) {
+				return false
+			}
+		}
+		return true
+	}
+	span := 1 << shift
+	for j := 0; j < width && base+j*span < n; j++ {
+		if !nodesEqual(x.kids[j], y.kids[j], shift-bits, base+j*span, n, eq) {
+			return false
+		}
+	}
+	return true
+}

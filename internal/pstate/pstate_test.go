@@ -210,3 +210,41 @@ func TestVectorPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestEqualFunc checks EqualFunc against an element-wise reference on a
+// vector, a snapshot of it, and divergent writes on either side —
+// including writes that restore the original value (equal contents,
+// unshared nodes).
+func TestEqualFunc(t *testing.T) {
+	eq := func(x, y int) bool { return x == y }
+	var a Vector[int]
+	const n = width*width + 5
+	for i := 0; i < n; i++ {
+		a.Append(i, 1)
+	}
+	b := a // snapshot: shares every node
+	if !EqualFunc(&a, &b, eq) {
+		t.Fatal("snapshot differs from its source")
+	}
+	calls := 0
+	counting := func(x, y int) bool { calls++; return x == y }
+	b.Set(n-1, -1, 2)
+	if EqualFunc(&a, &b, counting) {
+		t.Fatal("divergent write not seen")
+	}
+	if calls > width {
+		t.Fatalf("compared %d elements; shared subtrees should be skipped", calls)
+	}
+	b.Set(n-1, n-1, 2) // same contents again, private spine
+	if !EqualFunc(&a, &b, eq) {
+		t.Fatal("restored value reported unequal")
+	}
+	b.Append(7, 2)
+	if EqualFunc(&a, &b, eq) {
+		t.Fatal("different lengths reported equal")
+	}
+	var e1, e2 Vector[int]
+	if !EqualFunc(&e1, &e2, eq) {
+		t.Fatal("empty vectors differ")
+	}
+}

@@ -25,4 +25,9 @@ type Counters struct {
 	// off the interpreter's hot loop.
 	CloneAllocs atomic.Int64
 	CloneBytes  atomic.Int64
+	// SkippedSteps counts instructions that spin-tracked runs
+	// fast-forwarded over a proven period instead of interpreting them
+	// (see period.go). They still count toward the run's budget, Steps
+	// and Instrs exactly as if interpreted.
+	SkippedSteps atomic.Int64
 }

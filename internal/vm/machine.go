@@ -77,7 +77,12 @@ type Machine struct {
 	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). While it
 	// is on, the superinstruction fast path is disabled so the per-
 	// instruction tick window of the diagnosis stays exactly as in
-	// unfused execution.
+	// unfused execution, and Run fast-forwards provably periodic
+	// stretches (period.go) with results identical to interpreting them.
+	// That proof treats Break as a function of the configuration — the
+	// thread, instruction and state — never of Steps or Instrs. Only the
+	// diagnosis after a budget stop reads the tracking data, so turn it
+	// off for runs that cannot end in one.
 	SpinTrack bool
 	spin      []*spinInfo // per-thread, indexed by tid
 
@@ -103,8 +108,11 @@ type Machine struct {
 	scratch []int
 
 	// Local fast-path tallies, flushed into Counters per Run call.
-	fusedOps   int64
-	internHits int64
+	fusedOps     int64
+	internHits   int64
+	skippedSteps int64
+
+	probe periodProbe // spin-tracked runs' period detector (period.go)
 }
 
 // NewMachine returns a machine over st with the given controller and the
@@ -150,10 +158,14 @@ const interruptStride = 256
 // budgets, and race coordinates are bit-identical to unfused execution.
 func (m *Machine) Run(budget int64) RunResult {
 	res := m.run(budget)
-	if m.Counters != nil && (m.fusedOps != 0 || m.internHits != 0) {
+	if spinRunHook != nil && m.SpinTrack {
+		spinRunHook(m, budget, res)
+	}
+	if m.Counters != nil && (m.fusedOps != 0 || m.internHits != 0 || m.skippedSteps != 0) {
 		m.Counters.FusedOps.Add(m.fusedOps)
 		m.Counters.InternedConsts.Add(m.internHits)
-		m.fusedOps, m.internHits = 0, 0
+		m.Counters.SkippedSteps.Add(m.skippedSteps)
+		m.fusedOps, m.internHits, m.skippedSteps = 0, 0, 0
 	}
 	return res
 }
@@ -162,6 +174,10 @@ func (m *Machine) run(budget int64) RunResult {
 	st := m.St
 	var steps int64
 	var tick int64
+	probing := m.probeable(budget)
+	if probing {
+		m.probe.snap, m.probe.next, m.probe.horizon = nil, periodFirst, periodFirst
+	}
 	for {
 		if m.Interrupt != nil {
 			if tick%interruptStride == 0 && m.Interrupt() {
@@ -198,6 +214,15 @@ func (m *Machine) run(budget int64) RunResult {
 		}
 		in := code[fr.PC]
 		pcref := bytecode.PCRef{Fn: fr.Fn, PC: fr.PC, Line: in.Line}
+
+		// Period probe (spin-tracked runs only, see period.go): on a
+		// proven recurrence of the whole configuration, fast-forward
+		// whole periods; the loop then interprets the tail as usual.
+		if probing {
+			var skipped int64
+			skipped, probing = m.probePeriod(steps, budget, fr)
+			steps += skipped
+		}
 
 		// Scheduling decision before sync ops / (optionally) shared
 		// accesses, unless the controller just picked this very point.

@@ -1,0 +1,326 @@
+package vm
+
+import (
+	"unsafe"
+
+	"repro/internal/expr"
+	"repro/internal/pstate"
+)
+
+// Period skip: exact fast-forward of provably periodic spin-tracked runs.
+//
+// An alternate enforcement that times out (Algorithm 1's case (a)) is
+// almost always a spin: a thread re-reading a flag the suspended thread
+// would have set, forever. Interpreting the whole budget only to learn
+// that is the dominant cost of classification. Under SpinTrack the run
+// loop therefore probes for an exact period. Now and then it snapshots
+// the machine configuration: every State field the codec serializes
+// except the counters Steps and Thread.Instrs, plus the controller's
+// position and the scheduling-point memo (skipTID/skipInstr), which the
+// probe only ever sees stale (see skipFresh). The interpreter is a
+// deterministic function of that configuration, so when it recurs P
+// steps after a snapshot, every later stretch of P steps repeats the
+// same instructions on the same values. The run then adds k whole
+// periods arithmetically — Steps, each thread's Instrs, the spin ticks
+// and the interned-constant tally advance by k times their per-period
+// delta — and interprets the remaining tail for real. The tail is long
+// enough that every spin window DiagnoseSpin can read (the current one
+// and the one before it) is rebuilt from real execution, so the
+// RunResult, the final State, every thread's spin data and the Counters
+// equal those of the uninterrupted run.
+//
+// The probe runs only when the future provably depends on nothing
+// outside the configuration: a RoundRobin or Sticky controller, the
+// concolic branch policy, no observers, and a finite budget large enough
+// to leave room for the tail. Random-schedule runs, replays and
+// observer-carrying runs take the plain path.
+
+const (
+	// periodFirst is the run step of the first configuration snapshot
+	// and the first compare horizon. Short runs — every enforcement that
+	// reaches its break quickly — never snapshot at all.
+	periodFirst = 256
+	// periodHorizon caps the compare horizon. Snapshots are retaken at
+	// doubling distances up to this one (Brent's cycle search), so any
+	// period up to it is found once the run has settled into it.
+	periodHorizon = 2 * spinWindow
+	// periodMinBudget is the smallest budget worth probing: the tail
+	// alone needs two spin windows per ticking thread.
+	periodMinBudget = 4 * spinWindow
+)
+
+// periodSkip gates the period probe. It is always on in the program;
+// tests turn it off to interpret the same runs end to end.
+var periodSkip = true
+
+// Test hooks, nil in the program. probeHook sees every full
+// configuration comparison the probe makes (tests pin the comparator to
+// the codec with it); spinRunHook sees every spin-tracked Run before its
+// tallies are flushed (tests compare skipped and interpreted runs).
+var (
+	probeHook   func(snap, cur *State, same bool)
+	spinRunHook func(m *Machine, budget int64, res RunResult)
+)
+
+// periodProbe is the run loop's period detector state (one per
+// Machine, reset by each Run).
+type periodProbe struct {
+	snap *State // configuration snapshot; nil before the first
+
+	next    int64 // run step at which to take the next snapshot
+	horizon int64 // distance from that snapshot to the one after
+
+	// Cheap filters captured with the snapshot: current thread, its top
+	// frame's pc and the controller position.
+	cur, fn, pc, ctl int
+
+	// Counters at the snapshot, the bases of the per-period deltas.
+	steps   int64   // run steps
+	stSteps int64   // State.Steps (BARRIER also completes others')
+	intern  int64   // interned-constant tally
+	ticks   []int64 // per-thread spin ticks
+}
+
+// probeable reports whether this run's future is a function of the
+// configuration alone, so a recurrence proves periodicity.
+func (m *Machine) probeable(budget int64) bool {
+	if !periodSkip || !m.SpinTrack || budget < periodMinBudget || len(m.St.Observers) > 0 {
+		return false
+	}
+	if _, ok := m.Policy.(ConcolicPolicy); !ok {
+		return false
+	}
+	_, ok := ctlPos(m.Ctl)
+	return ok
+}
+
+// ctlPos is the controller's complete scheduling position, for the
+// controllers whose position can be compared.
+func ctlPos(c Controller) (int, bool) {
+	switch c := c.(type) {
+	case *RoundRobin:
+		return c.last, true
+	case Sticky, *Sticky:
+		return 0, true
+	}
+	return 0, false
+}
+
+// skipFresh reports whether the scheduling-point memo can still
+// suppress a re-pick: the picked thread has not completed an instruction
+// since. A stale memo never matches again (Instrs only grows until the
+// next pick overwrites it), so all stale memos are the same
+// configuration. A fresh one lasts only until the picked thread's next
+// completed instruction, so the probe simply snapshots and compares at
+// stale points, and the skip never has to move the memo.
+func (m *Machine) skipFresh() bool {
+	t := m.skipTID
+	return t >= 0 && t < len(m.St.Threads) && m.skipInstr == m.St.Threads[t].Instrs
+}
+
+// probePeriod runs the detector just before the current thread's next
+// instruction (fr is its top frame), where the configuration alone
+// determines everything the run does next. It returns the number of run
+// steps it fast-forwarded and whether to keep probing.
+func (m *Machine) probePeriod(steps, budget int64, fr *Frame) (skipped int64, keep bool) {
+	p := &m.probe
+	st := m.St
+	if steps >= p.next {
+		if !m.skipFresh() {
+			m.snapshotConfig(steps, fr)
+		}
+		return 0, true
+	}
+	if p.snap == nil || steps == p.steps || st.Cur != p.cur || fr.PC != p.pc || fr.Fn != p.fn {
+		return 0, true
+	}
+	if pos, _ := ctlPos(m.Ctl); pos != p.ctl || m.skipFresh() {
+		return 0, true
+	}
+	same := sameConfig(p.snap, st)
+	if probeHook != nil {
+		probeHook(p.snap, st, same)
+	}
+	if !same {
+		return 0, true
+	}
+	return m.skipPeriods(steps, budget), false
+}
+
+// snapshotConfig records the current configuration and schedules the
+// next snapshot (doubling distances, capped).
+func (m *Machine) snapshotConfig(steps int64, fr *Frame) {
+	p := &m.probe
+	st := m.St
+	p.snap = st.fork()
+	p.cur, p.fn, p.pc = st.Cur, fr.Fn, fr.PC
+	p.ctl, _ = ctlPos(m.Ctl)
+	p.steps, p.stSteps = steps, st.Steps
+	p.intern = m.internHits
+	if cap(p.ticks) < len(m.spin) {
+		p.ticks = make([]int64, 0, max(len(m.spin), len(m.St.Threads)))
+	}
+	p.ticks = p.ticks[:0]
+	for _, si := range m.spin {
+		var t int64
+		if si != nil {
+			t = si.ticks
+		}
+		p.ticks = append(p.ticks, t)
+	}
+	p.next = steps + p.horizon
+	p.horizon = min(2*p.horizon, periodHorizon)
+}
+
+// skipPeriods fast-forwards whole periods after the configuration at
+// run step steps was found equal to the snapshot, leaving a tail of at
+// least two spin windows per ticking thread to interpret for real. It
+// returns the run steps skipped (0 when the budget leaves no room).
+func (m *Machine) skipPeriods(steps, budget int64) int64 {
+	p := &m.probe
+	st := m.St
+	period := steps - p.steps
+	tail := int64(1) // periods left to interpret
+	// Turn p.ticks into per-period tick deltas in place (a thread that
+	// had not ticked yet at the snapshot counts from zero).
+	for len(p.ticks) < len(m.spin) {
+		p.ticks = append(p.ticks, 0)
+	}
+	for tid, si := range m.spin {
+		var d int64
+		if si != nil {
+			d = si.ticks - p.ticks[tid]
+		}
+		p.ticks[tid] = d
+		if d > 0 {
+			tail = max(tail, (2*spinWindow+d-1)/d)
+		}
+	}
+	k := (budget-steps)/period - tail
+	if k <= 0 {
+		return 0
+	}
+	for i, t := range st.Threads {
+		if d := t.Instrs - p.snap.Threads[i].Instrs; d != 0 {
+			st.wthread(i).Instrs += k * d
+		}
+	}
+	st.Steps += k * (st.Steps - p.stSteps)
+	for tid, si := range m.spin {
+		if si != nil {
+			si.ticks += k * p.ticks[tid]
+		}
+	}
+	// Fusion is off under SpinTrack, so fusedOps has no per-period delta.
+	m.internHits += k * (m.internHits - p.intern)
+	m.skippedSteps += k * period
+	p.snap = nil
+	return k * period
+}
+
+// sameConfig reports whether a and b are the same machine configuration
+// as far as the State goes: equal in every field the wire codec
+// serializes except the counters Steps and Thread.Instrs. Threads come
+// first (the running thread's registers tell most non-recurrences
+// apart), and every layer a snapshot still shares with its source is
+// equal by pointer without being walked. Observer state is opaque, so a
+// state carrying observers never compares equal.
+func sameConfig(a, b *State) bool {
+	if a.Prog != b.Prog || a.Cur != b.Cur || a.NextRef != b.NextRef || a.Halted != b.Halted ||
+		a.ArgReads != b.ArgReads || a.In.Pos != b.In.Pos || a.In.NSymbolic != b.In.NSymbolic ||
+		len(a.Outputs) != len(b.Outputs) || len(a.PathCond) != len(b.PathCond) ||
+		len(a.Threads) != len(b.Threads) || len(a.Observers) != 0 || len(b.Observers) != 0 {
+		return false
+	}
+	for i, ta := range a.Threads {
+		if !sameThread(ta, b.Threads[i]) {
+			return false
+		}
+	}
+	if len(a.Globals) != len(b.Globals) {
+		return false
+	}
+	for i, cells := range a.Globals {
+		if !sameExprs(cells, b.Globals[i]) {
+			return false
+		}
+	}
+	if !pstate.EqualFunc(&a.heap, &b.heap, sameBlock) ||
+		!sameSlice(a.Mutexes, b.Mutexes) || !sameFunc(a.Conds, b.Conds, sameCond) ||
+		!sameFunc(a.Barriers, b.Barriers, sameBarrier) ||
+		!sameFunc(a.Outputs, b.Outputs, sameOutput) || !sameSlice(a.In.Values, b.In.Values) ||
+		!sameSlice(a.Args, b.Args) || !sameSlice(a.SymArgs, b.SymArgs) ||
+		!sameExprs(a.PathCond, b.PathCond) || !sameSlice(a.Suspended, b.Suspended) ||
+		!sameFailure(a.Failure, b.Failure) || len(a.Hints) != len(b.Hints) {
+		return false
+	}
+	for name, v := range a.Hints {
+		if w, ok := b.Hints[name]; !ok || w != v {
+			return false
+		}
+	}
+	return true
+}
+
+func sameThread(a, b *Thread) bool {
+	if a == b {
+		return true
+	}
+	if a.ID != b.ID || a.Status != b.Status || a.WaitMutex != b.WaitMutex || a.WaitCond != b.WaitCond ||
+		a.WaitJoin != b.WaitJoin || a.WaitBarrier != b.WaitBarrier || a.WaitPhase != b.WaitPhase ||
+		len(a.Frames) != len(b.Frames) {
+		return false
+	}
+	for i, fa := range a.Frames {
+		fb := b.Frames[i]
+		if fa != fb && (fa.Fn != fb.Fn || fa.PC != fb.PC || !sameExprs(fa.Locals, fb.Locals) || !sameExprs(fa.Stack, fb.Stack)) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBlock(a, b *HeapBlock) bool {
+	if a == b {
+		return true
+	}
+	return a != nil && b != nil && a.Freed == b.Freed && sameExprs(a.Cells, b.Cells)
+}
+
+func sameCond(a, b condState) bool        { return sameSlice(a.Waiters, b.Waiters) }
+func sameBarrier(a, b barrierState) bool  { return sameSlice(a.Arrived, b.Arrived) }
+func sameFailure(a, b *RuntimeError) bool { return a == b || (a != nil && b != nil && *a == *b) }
+func sameExprs(a, b []expr.Expr) bool     { return sameFunc(a, b, sameExpr) }
+func sameSlice[T comparable](a, b []T) bool {
+	return sameFunc(a, b, func(x, y T) bool { return x == y })
+}
+
+func sameOutput(a, b Output) bool {
+	return a.TID == b.TID && a.PC == b.PC && sameFunc(a.Parts, b.Parts, func(x, y OutPart) bool {
+		return x.Lit == y.Lit && sameExpr(x.E, y.E)
+	})
+}
+
+func sameExpr(a, b expr.Expr) bool {
+	if a == b {
+		return true
+	}
+	return a != nil && b != nil && expr.Equal(a, b)
+}
+
+// sameFunc compares two slices element-wise, treating a shared backing
+// array (a snapshot's untouched layer) as equal without a walk.
+func sameFunc[T any](a, b []T, eq func(x, y T) bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 || unsafe.SliceData(a) == unsafe.SliceData(b) {
+		return true
+	}
+	for i := range a {
+		if !eq(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}

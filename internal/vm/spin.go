@@ -16,19 +16,21 @@ import (
 // loop (race is "spec violated"), following the criterion of [60].
 //
 // Visit counts live in dense per-function slabs indexed by pc (pcCounts)
-// rather than hash maps: trackSpinPC runs on every interpreted
-// instruction of an enforcement, and the map traffic of the previous
-// implementation accounted for a measurable share of pbzip2-style
-// classification time. The current and previous windows double-buffer
-// their slabs, so a window rollover zeroes the touched counters in place
-// instead of allocating fresh maps.
+// and the read set in dense per-object bit words (locSet) rather than
+// hash maps: trackSpinPC and trackSpinRead run on every interpreted
+// instruction and shared read of an enforcement, and map inserts plus
+// Loc hashing accounted for a measurable share of classification time.
+// The current and previous windows double-buffer both, so a window
+// rollover zeroes the touched entries in place instead of allocating;
+// both are held by value, so a thread's tracking costs a handful of
+// slab allocations per Machine and none per window.
 type spinInfo struct {
-	visits *pcCounts
-	reads  map[Loc]struct{}
+	visits pcCounts
+	reads  locSet
 	// previous window, kept so a diagnosis right after a reset still
 	// sees a full window's worth of data
-	prevVisits *pcCounts
-	prevReads  map[Loc]struct{}
+	prevVisits pcCounts
+	prevReads  locSet
 	ticks      int64
 }
 
@@ -40,11 +42,11 @@ type pcCounts struct {
 	touched []uint64 // packed fn<<32|pc of nonzero counters
 }
 
-func newPCCounts(p *bytecode.Program) *pcCounts {
-	return &pcCounts{funcs: make([][]int32, len(p.Funcs))}
-}
-
 func (c *pcCounts) inc(p *bytecode.Program, fn, pc int) {
+	if c.funcs == nil {
+		c.funcs = make([][]int32, len(p.Funcs))
+		c.touched = make([]uint64, 0, 8)
+	}
 	s := c.funcs[fn]
 	if s == nil {
 		s = make([]int32, len(p.Funcs[fn].Code))
@@ -74,6 +76,59 @@ func (c *pcCounts) anyAtLeast(threshold int32) bool {
 	return false
 }
 
+// locSet is a dense set of shared locations, laid out like pcCounts:
+// per address space one bit word per object for elements 0..63 — so
+// scalars and short arrays cost no allocation of their own — and a
+// lazily grown overflow bitset per object for higher elements, plus a
+// touched list (insertion order) so reset and iteration cost
+// O(members).
+type locSet struct {
+	low     [2][]uint64   // [Space][Obj]: bit Elem, for Elem < 64
+	high    [2][][]uint64 // [Space][Obj]: bit Elem-64, for Elem >= 64
+	touched []Loc
+}
+
+// word returns the bit word holding l, growing the layout to reach it.
+func (s *locSet) word(l Loc) *uint64 {
+	obj := int(l.Obj)
+	if l.Elem < 64 {
+		low := s.low[l.Space]
+		if obj >= len(low) {
+			low = append(low, make([]uint64, obj+1-len(low))...)
+			s.low[l.Space] = low
+		}
+		return &low[obj]
+	}
+	high := s.high[l.Space]
+	if obj >= len(high) {
+		high = append(high, make([][]uint64, obj+1-len(high))...)
+		s.high[l.Space] = high
+	}
+	w := int(l.Elem-64) >> 6
+	if w >= len(high[obj]) {
+		high[obj] = append(high[obj], make([]uint64, w+1-len(high[obj]))...)
+	}
+	return &high[obj][w]
+}
+
+func (s *locSet) add(l Loc) {
+	if w, bit := s.word(l), uint64(1)<<(l.Elem&63); *w&bit == 0 {
+		*w |= bit
+		if s.touched == nil {
+			s.touched = make([]Loc, 0, 8)
+		}
+		s.touched = append(s.touched, l)
+	}
+}
+
+// reset empties the set, keeping the words for reuse.
+func (s *locSet) reset() {
+	for _, l := range s.touched {
+		*s.word(l) = 0
+	}
+	s.touched = s.touched[:0]
+}
+
 // spinWindow is the number of tracked instructions after which a thread's
 // spin data is reset. Windowing scopes the read set to the loop the
 // thread is currently stuck in: shared reads made before entering the
@@ -82,12 +137,12 @@ func (c *pcCounts) anyAtLeast(threshold int32) bool {
 const spinWindow = 8192
 
 func (m *Machine) spinFor(tid int) *spinInfo {
-	for len(m.spin) <= tid {
-		m.spin = append(m.spin, nil)
+	if tid >= len(m.spin) {
+		m.spin = append(m.spin, make([]*spinInfo, max(tid+1, len(m.St.Threads))-len(m.spin))...)
 	}
 	si := m.spin[tid]
 	if si == nil {
-		si = &spinInfo{visits: newPCCounts(m.St.Prog), reads: map[Loc]struct{}{}}
+		si = &spinInfo{}
 		m.spin[tid] = si
 	}
 	return si
@@ -105,16 +160,8 @@ func (m *Machine) trackSpinPC(tid int, in bytecode.Instr, pc bytecode.PCRef) {
 		// place to receive the next window.
 		si.prevVisits, si.visits = si.visits, si.prevVisits
 		si.prevReads, si.reads = si.reads, si.prevReads
-		if si.visits == nil {
-			si.visits = newPCCounts(m.St.Prog)
-		} else {
-			si.visits.reset()
-		}
-		if si.reads == nil {
-			si.reads = map[Loc]struct{}{}
-		} else {
-			clear(si.reads)
-		}
+		si.visits.reset()
+		si.reads.reset()
 	}
 	if in.Op != bytecode.JMP && in.Op != bytecode.JZ {
 		return
@@ -126,7 +173,7 @@ func (m *Machine) trackSpinRead(tid int, loc Loc) {
 	if !m.SpinTrack {
 		return
 	}
-	m.spinFor(tid).reads[loc] = struct{}{}
+	m.spinFor(tid).reads.add(loc)
 }
 
 // spinLoopThreshold is the visit count above which a jump is considered
@@ -139,9 +186,12 @@ type SpinDiagnosis struct {
 	Looping bool
 	// SharedReads: shared locations read while looping.
 	SharedReads []Loc
-	// WritableByOther: some other live, unsuspended thread may still
-	// write one of SharedReads (per the static write-set analysis) —
-	// the loop is ad-hoc synchronization, not an infinite loop.
+	// WritableByOther: some other thread that has not exited may still
+	// write one of SharedReads (per the static write-set analysis of its
+	// live frames) — the loop is ad-hoc synchronization, not an infinite
+	// loop. Suspended and blocked threads count: the suspended first
+	// racing thread is exactly the writer an enforcement timeout spins
+	// on (CanBeWrittenByOther).
 	WritableByOther bool
 }
 
@@ -153,35 +203,39 @@ func (m *Machine) DiagnoseSpin(tid int) SpinDiagnosis {
 		return d
 	}
 	si := m.spin[tid]
-	visits := si.visits
-	reads := si.reads
-	if si.ticks%spinWindow < spinWindow/4 && si.prevVisits != nil {
+	visits, reads := &si.visits, &si.reads
+	if si.ticks%spinWindow < spinWindow/4 && si.ticks >= spinWindow {
 		// Fresh window: diagnose on the previous one instead.
-		visits, reads = si.prevVisits, si.prevReads
+		visits, reads = &si.prevVisits, &si.prevReads
 	}
 	d.Looping = visits.anyAtLeast(spinLoopThreshold)
 	if !d.Looping {
 		return d
 	}
-	for loc := range reads {
+	for _, loc := range reads.touched {
 		d.SharedReads = append(d.SharedReads, loc)
 		if m.St.CanBeWrittenByOther(loc, tid) {
 			d.WritableByOther = true
 		}
 	}
 	sort.Slice(d.SharedReads, func(i, j int) bool {
-		if d.SharedReads[i].Space != d.SharedReads[j].Space {
-			return d.SharedReads[i].Space < d.SharedReads[j].Space
+		a, b := d.SharedReads[i], d.SharedReads[j]
+		if a.Space != b.Space {
+			return a.Space < b.Space
 		}
-		return d.SharedReads[i].Obj < d.SharedReads[j].Obj
+		if a.Obj != b.Obj {
+			return a.Obj < b.Obj
+		}
+		return a.Elem < b.Elem
 	})
 	return d
 }
 
 // CanBeWrittenByOther reports whether any live thread other than tid could
-// still write loc, per the program's static transitive write sets. Heap
-// locations are conservatively considered writable (any thread holding the
-// reference may store through it).
+// still write loc, per the program's static transitive write sets of its
+// frames. Live means not exited: suspended and blocked threads count.
+// Heap locations are conservatively considered writable (any thread
+// holding the reference may store through it).
 func (st *State) CanBeWrittenByOther(loc Loc, tid int) bool {
 	if loc.Space == SpaceHeap {
 		return true

@@ -358,11 +358,29 @@ const stateBytes = int64(unsafe.Sizeof(State{}))
 // concurrently on one state from several goroutines — which the
 // parallel alternate-schedule workers and the checkpoint stores'
 // concurrent Resumes rely on.
+func (st *State) Clone() *State {
+	ns := st.fork()
+	allocs, bytes := int64(1), stateBytes
+	if n := len(ns.Observers); n > 0 {
+		allocs += int64(1 + n)
+		bytes += int64(n) * 16
+	}
+	if m := st.meter; m != nil {
+		m.CloneAllocs.Add(allocs)
+		m.CloneBytes.Add(bytes)
+	}
+	return ns
+}
+
+// fork is Clone without the cost meter: the period probe's
+// configuration snapshots (see period.go) exist only to be compared
+// against, are not checkpoints, and must not show up in
+// Stats.CloneAllocs.
 //
 // The child is built with a field literal rather than a struct copy so
 // that sharedFlag (the one word a concurrent Clone writes) is never
 // read here.
-func (st *State) Clone() *State {
+func (st *State) fork() *State {
 	ns := &State{
 		Prog:     st.Prog,
 		Globals:  st.Globals,
@@ -391,7 +409,6 @@ func (st *State) Clone() *State {
 		argSyms:   st.argSyms,
 		meter:     st.meter,
 	}
-	allocs, bytes := int64(1), stateBytes
 	// The Observers slice itself must be private (dropAccessCounter and
 	// friends splice it in place), and each observer forks its identity —
 	// cheaply, since observers copy-on-write their tables too.
@@ -401,8 +418,6 @@ func (st *State) Clone() *State {
 			obs[i] = o.CloneObs()
 		}
 		ns.Observers = obs
-		allocs += int64(1 + len(obs))
-		bytes += int64(len(obs)) * 16
 	}
 	// Invalidate the source's ownership (lazily: its next write re-epochs
 	// via own) and give the child a fresh epoch. Stamps are left zero in
@@ -411,10 +426,6 @@ func (st *State) Clone() *State {
 	// protect.
 	atomic.StoreUint32(&st.sharedFlag, 1)
 	ns.epoch = atomic.AddUint64(&globalEpoch, 1)
-	if m := st.meter; m != nil {
-		m.CloneAllocs.Add(allocs)
-		m.CloneBytes.Add(bytes)
-	}
 	return ns
 }
 

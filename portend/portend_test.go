@@ -343,3 +343,51 @@ func TestExecAndDisassemble(t *testing.T) {
 		t.Errorf("disassembly looks wrong: %q", text[:min(len(text), 80)])
 	}
 }
+
+// TestSkippedStepsReported pins the skipped-instruction accounting end
+// to end: a memcached ad-hoc-synchronization race (singleOrd: its
+// alternate spins until the enforcement budget runs out) reports the
+// instructions the interpreter fast-forwarded instead of executing, in
+// Stats and in the verdict JSON; a k-witness race, whose alternates all
+// complete, reports none.
+func TestSkippedStepsReported(t *testing.T) {
+	ctx := context.Background()
+	a := portend.New(portend.WithParallel(1))
+	verdictOn := func(workload, object string) portend.Verdict {
+		t.Helper()
+		rep, err := a.AnalyzeAll(ctx, portend.Workload(workload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range rep.Verdicts {
+			if v.Race.Object == object {
+				return v
+			}
+		}
+		t.Fatalf("%s: no race on %s", workload, object)
+		return portend.Verdict{}
+	}
+
+	single := verdictOn("memcached", "s1")
+	if single.Class != portend.SingleOrdering {
+		t.Fatalf("memcached s1 classified %s, want singleOrd", single.Class)
+	}
+	if single.Stats.SkippedSteps <= 0 {
+		t.Errorf("memcached s1 reports SkippedSteps %d, want > 0", single.Stats.SkippedSteps)
+	}
+	raw, err := json.Marshal(single)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"skippedSteps":`) {
+		t.Errorf("verdict JSON missing skippedSteps: %s", raw)
+	}
+
+	harmless := verdictOn("ctrace", "lvl1")
+	if harmless.Class != portend.KWitnessHarmless {
+		t.Fatalf("ctrace lvl1 classified %s, want k-witness", harmless.Class)
+	}
+	if harmless.Stats.SkippedSteps != 0 {
+		t.Errorf("ctrace lvl1 reports SkippedSteps %d, want 0", harmless.Stats.SkippedSteps)
+	}
+}

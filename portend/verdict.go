@@ -120,6 +120,13 @@ type Stats struct {
 	FusedOps       int64 `json:"fusedOps,omitempty"`
 	InternedConsts int64 `json:"internedConsts,omitempty"`
 
+	// SkippedSteps counts alternate-enforcement instructions the
+	// interpreter fast-forwarded over a proven period instead of
+	// interpreting them. Non-zero means a timeout verdict's budget was
+	// proven exhausted rather than executed; the verdict is the same
+	// either way.
+	SkippedSteps int64 `json:"skippedSteps,omitempty"`
+
 	// CloneAllocs and CloneBytes meter the copy-on-write state snapshots
 	// this classification took (checkpoint deposits, enforcement forks,
 	// exploration siblings): allocations and bytes spent on Clone itself,
@@ -218,6 +225,7 @@ func newVerdict(cv *core.Verdict, prog *bytecode.Program) Verdict {
 			TruncatedPaths:       cv.Stats.TruncatedPaths,
 			FusedOps:             cv.Stats.FusedOps,
 			InternedConsts:       cv.Stats.InternedConsts,
+			SkippedSteps:         cv.Stats.SkippedSteps,
 			CloneAllocs:          cv.Stats.CloneAllocs,
 			CloneBytes:           cv.Stats.CloneBytes,
 			SolverCacheEvictions: cv.Stats.SolverCacheEvictions,

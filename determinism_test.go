@@ -136,42 +136,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestDenseCadenceVerdictsMatchGeometric pins the detection-cadence
-// default flip that rode along with copy-on-write snapshots: the dense
-// initial window (DefaultDetectCheckpointEvery = 64) must yield verdicts
-// byte-identical to the old geometric-512 start on every built-in
-// workload and on a curated corpus program. Cadence only moves where the
-// detection pass parks replay snapshots — resumes replay states the full
-// replay passes through anyway — so any divergence is a checkpoint bug,
-// not a tuning tradeoff.
-func TestDenseCadenceVerdictsMatchGeometric(t *testing.T) {
-	suite := append([]*workloads.Workload{}, workloads.All()...)
-	for _, cp := range corpus.Curated() {
-		suite = append(suite, cp.Workload)
-		break // one curated program; the corpus suite covers the rest
-	}
-	for _, w := range suite {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			p := w.Compile()
-			run := func(every int64) string {
-				opts := core.DefaultOptions()
-				opts.Parallel = 1
-				opts.DetectCheckpointEvery = every
-				if w.Predicates != nil {
-					opts.Predicates = w.Predicates(p)
-				}
-				return renderResult(p, core.Run(p, w.Args, w.Inputs, opts))
-			}
-			dense := run(0) // default: dense initial window
-			if got := run(512); got != dense {
-				t.Errorf("dense cadence changed verdicts vs geometric-512\n--- dense ---\n%s\n--- geometric ---\n%s", dense, got)
-			}
-		})
-	}
-}
-
 // TestCorpusDeterminism extends the parallel-determinism property from
 // the seven hand-ported workloads to the full labeled corpus — curated
 // and generated halves alike: for every program of the default suite,

@@ -1,8 +1,8 @@
 package ckpt
 
-import "repro/internal/vm"
+import "slices"
 
-// This file is the durability boundary of the checkpoint stores: Export
+// This file is the durability boundary of the checkpoint store: Export
 // hands the owning tier a structured view of everything a store holds so
 // it can be serialized, and Import rebuilds a store from that view after
 // a daemon restart. Exported states and controllers are the store's own
@@ -10,18 +10,11 @@ import "repro/internal/vm"
 // read-only (encoding only reads). Import takes ownership of everything
 // passed in; the caller must not retain or mutate it afterwards.
 
-// ExportedEntry is one concrete checkpoint in export form.
-type ExportedEntry struct {
-	Steps int64
-	State *vm.State
-	Ctl   vm.CloneableController
-}
-
-// ExportedStore is the full serializable content of a concrete Store:
-// its entries plus the thinning position and hit counters, so a restored
+// Exported is the full serializable content of a Store: its entries in
+// step order plus the thinning position and hit counters, so a restored
 // store admits, thins, and reports exactly like the one that was saved.
-type ExportedStore struct {
-	Entries []ExportedEntry
+type Exported struct {
+	Entries []Entry
 	Stride  int64
 	Thinned int64
 	Hits    int64
@@ -29,152 +22,52 @@ type ExportedStore struct {
 }
 
 // Export returns the store's content for serialization. The returned
-// states and controllers are the live stored entries: read-only.
-func (s *Store) Export() ExportedStore {
+// states, controllers, and forks are the live stored entries: read-only.
+func (s *Store) Export() Exported {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	x := ExportedStore{
-		Stride:  s.tab.stride,
-		Thinned: s.tab.thinned,
+	return Exported{
+		Entries: slices.Clone(s.entries),
+		Stride:  s.stride,
+		Thinned: s.thinned,
 		Hits:    s.hits.Load(),
 		Misses:  s.misses.Load(),
 	}
-	if len(s.tab.entries) > 0 {
-		x.Entries = make([]ExportedEntry, 0, len(s.tab.entries))
-		for _, e := range s.tab.entries {
-			x.Entries = append(x.Entries, ExportedEntry{Steps: e.steps, State: e.payload.state, Ctl: e.payload.ctl})
-		}
-	}
-	return x
 }
 
 // Import replaces the store's content with a previously exported one,
-// taking ownership of the states and controllers in x. Entries land
-// without cloning and without stride admission (they were admitted when
-// first stored); entries beyond the capacity bound are dropped.
-func (s *Store) Import(x ExportedStore) {
+// taking ownership of everything in x. Entries land without cloning and
+// without stride admission (they were admitted when first stored); a
+// duplicate step count and entries beyond the capacity bound are dropped.
+func (s *Store) Import(x Exported) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tab.entries = s.tab.entries[:0]
+	s.entries = s.entries[:0]
 	for _, e := range x.Entries {
-		if len(s.tab.entries) >= s.tab.max {
+		if len(s.entries) >= s.max {
 			break
 		}
-		i := s.tab.search(e.Steps)
-		if i < len(s.tab.entries) && s.tab.entries[i].steps == e.Steps {
+		i := search(s.entries, e.State.Steps)
+		if i < len(s.entries) && s.entries[i].State.Steps == e.State.Steps {
 			continue
 		}
-		s.tab.entries = append(s.tab.entries, tabEntry[centry]{})
-		copy(s.tab.entries[i+1:], s.tab.entries[i:])
-		s.tab.entries[i] = tabEntry[centry]{steps: e.Steps, payload: centry{state: e.State, ctl: e.Ctl}}
+		s.entries = slices.Insert(s.entries, i, e)
 	}
-	s.tab.stride = x.Stride
-	s.tab.thinned = x.Thinned
+	s.stride = x.Stride
+	s.thinned = x.Thinned
 	s.hits.Store(x.Hits)
 	s.misses.Store(x.Misses)
 }
 
-// MemBytes estimates the heap footprint of all stored checkpoint states.
+// MemBytes estimates the heap footprint of all stored checkpoint and
+// pending-fork states.
 func (s *Store) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
-	for _, e := range s.tab.entries {
-		n += e.payload.state.MemEstimate()
-	}
-	return n
-}
-
-// ExportedSymEntry is one symbolic mainline checkpoint in export form.
-type ExportedSymEntry struct {
-	Steps int64
-	State *vm.State
-	Ctl   vm.CloneableController
-	Forks []PendingFork
-
-	Branches  int
-	ForksUsed int
-	Dropped   int
-}
-
-// ExportedSymStore is the full serializable content of a SymStore:
-// entries, thinning position, and hit counters.
-type ExportedSymStore struct {
-	Entries []ExportedSymEntry
-	Stride  int64
-	Thinned int64
-	Hits    int64
-	Misses  int64
-}
-
-// Export returns the symbolic store's content for serialization. States,
-// controllers, and fork payloads are the live stored entries: read-only.
-func (s *SymStore) Export() ExportedSymStore {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	x := ExportedSymStore{
-		Stride:  s.tab.stride,
-		Thinned: s.tab.thinned,
-		Hits:    s.hits.Load(),
-		Misses:  s.misses.Load(),
-	}
-	if len(s.tab.entries) > 0 {
-		x.Entries = make([]ExportedSymEntry, 0, len(s.tab.entries))
-		for _, e := range s.tab.entries {
-			x.Entries = append(x.Entries, ExportedSymEntry{
-				Steps:     e.steps,
-				State:     e.payload.state,
-				Ctl:       e.payload.ctl,
-				Forks:     e.payload.forks,
-				Branches:  e.payload.branches,
-				ForksUsed: e.payload.forksUsed,
-				Dropped:   e.payload.dropped,
-			})
-		}
-	}
-	return x
-}
-
-// Import replaces the symbolic store's content with a previously
-// exported one, taking ownership of everything in x.
-func (s *SymStore) Import(x ExportedSymStore) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tab.entries = s.tab.entries[:0]
-	for _, e := range x.Entries {
-		if len(s.tab.entries) >= s.tab.max {
-			break
-		}
-		i := s.tab.search(e.Steps)
-		if i < len(s.tab.entries) && s.tab.entries[i].steps == e.Steps {
-			continue
-		}
-		s.tab.entries = append(s.tab.entries, tabEntry[symEntry]{})
-		copy(s.tab.entries[i+1:], s.tab.entries[i:])
-		s.tab.entries[i] = tabEntry[symEntry]{steps: e.Steps, payload: symEntry{
-			state:     e.State,
-			ctl:       e.Ctl,
-			forks:     e.Forks,
-			branches:  e.Branches,
-			forksUsed: e.ForksUsed,
-			dropped:   e.Dropped,
-		}}
-	}
-	s.tab.stride = x.Stride
-	s.tab.thinned = x.Thinned
-	s.hits.Store(x.Hits)
-	s.misses.Store(x.Misses)
-}
-
-// MemBytes estimates the heap footprint of all stored mainline and
-// pending-fork states.
-func (s *SymStore) MemBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var n int64
-	for _, e := range s.tab.entries {
-		n += e.payload.state.MemEstimate()
-		for _, f := range e.payload.forks {
+	for _, e := range s.entries {
+		n += e.State.MemEstimate()
+		for _, f := range e.Forks {
 			n += f.State.MemEstimate()
 		}
 	}

@@ -11,24 +11,22 @@ type flatCtl struct{}
 
 func (flatCtl) PickNext(st *vm.State, runnable []int) int { return runnable[0] }
 
-func symAdd(t *testing.T, s *SymStore, steps int64, forks ...PendingFork) {
-	t.Helper()
-	s.Add(stateAt(t, steps), vm.NewRoundRobin(), forks, int(steps)/10, int(steps)/100, 0)
-}
-
+// TestSymStoreResumeWithPendingForks: an exploration-mainline entry
+// resumes with its pending fork queue in order and its counters, and
+// every resumed fork is a private clone.
 func TestSymStoreResumeWithPendingForks(t *testing.T) {
-	s := NewSymStore(8)
+	s := NewStore(8)
 	f1 := PendingFork{State: stateAt(t, 12), Ctl: vm.NewRoundRobin()}
 	f2 := PendingFork{State: stateAt(t, 14), Ctl: vm.NewRoundRobin()}
-	symAdd(t, s, 10)
-	symAdd(t, s, 30, f1, f2)
+	s.Add(Entry{State: stateAt(t, 10), Ctl: vm.NewRoundRobin(), Branches: 1})
+	s.Add(Entry{State: stateAt(t, 30), Ctl: vm.NewRoundRobin(), Forks: []PendingFork{f1, f2}, Branches: 3})
 	if s.Len() != 2 {
 		t.Fatalf("len = %d, want 2", s.Len())
 	}
 
-	r, ok := s.Resume(40, nil)
-	if !ok || r.Steps != 30 || r.State.Steps != 30 {
-		t.Fatalf("Resume(40) = %+v ok %v, want mainline at 30", r, ok)
+	r, steps, ok := s.Resume(40, nil)
+	if !ok || steps != 30 || r.State.Steps != 30 {
+		t.Fatalf("Resume(40) = %+v steps %d ok %v, want mainline at 30", r, steps, ok)
 	}
 	if r.Branches != 3 || r.ForksUsed != 0 {
 		t.Errorf("counters = branches %d forksUsed %d, want 3/0", r.Branches, r.ForksUsed)
@@ -41,13 +39,13 @@ func TestSymStoreResumeWithPendingForks(t *testing.T) {
 	// must not disturb a second resume or the stored entry.
 	vm.NewMachine(r.State, r.Ctl).Run(5)
 	vm.NewMachine(r.Forks[0].State, r.Forks[0].Ctl).Run(5)
-	r2, ok := s.Resume(40, nil)
+	r2, _, ok := s.Resume(40, nil)
 	if !ok || r2.State.Steps != 30 || r2.Forks[0].State.Steps != 12 {
 		t.Fatal("resumed symbolic clones share state")
 	}
 	// And mutating the caller's fork states after Add must not leak in.
 	vm.NewMachine(f1.State, vm.NewRoundRobin()).Run(5)
-	r3, _ := s.Resume(40, nil)
+	r3, _, _ := s.Resume(40, nil)
 	if r3.Forks[0].State.Steps != 12 {
 		t.Fatal("stored fork shares state with the caller")
 	}
@@ -55,7 +53,7 @@ func TestSymStoreResumeWithPendingForks(t *testing.T) {
 	if h, m := s.Hits(), s.Misses(); h != 3 || m != 0 {
 		t.Errorf("hits/misses = %d/%d, want 3/0", h, m)
 	}
-	if _, ok := s.Resume(5, nil); ok {
+	if _, _, ok := s.Resume(5, nil); ok {
 		t.Fatal("Resume(5) found an entry although none is <= 5")
 	}
 	if s.Misses() != 1 {
@@ -63,45 +61,18 @@ func TestSymStoreResumeWithPendingForks(t *testing.T) {
 	}
 }
 
-func TestSymStoreAcceptFallsBack(t *testing.T) {
-	s := NewSymStore(8)
-	symAdd(t, s, 10)
-	symAdd(t, s, 30)
-	r, ok := s.Resume(50, func(st *vm.State) bool { return st.Steps < 20 })
-	if !ok || r.Steps != 10 {
-		t.Fatalf("accept-filtered resume = %+v ok %v, want steps 10", r, ok)
-	}
-	if _, ok := s.Resume(50, func(*vm.State) bool { return false }); ok {
-		t.Fatal("Resume succeeded although accept rejected everything")
-	}
-}
-
 // TestSymStoreUncloneableForkRefused: a snapshot whose fork queue cannot
 // be replayed faithfully (uncloneable controller) must not be stored at
-// all — a half-snapshot would resume with missing siblings.
+// all — a half-snapshot would resume with missing siblings. The same
+// holds for an uncloneable mainline controller.
 func TestSymStoreUncloneableForkRefused(t *testing.T) {
-	s := NewSymStore(8)
-	s.Add(stateAt(t, 10), vm.NewRoundRobin(),
-		[]PendingFork{{State: stateAt(t, 8), Ctl: flatCtl{}}}, 0, 0, 0)
+	s := NewStore(8)
+	s.Add(Entry{
+		State: stateAt(t, 10), Ctl: vm.NewRoundRobin(),
+		Forks: []PendingFork{{State: stateAt(t, 8), Ctl: flatCtl{}}},
+	})
+	s.Add(Entry{State: stateAt(t, 20), Ctl: flatCtl{}})
 	if s.Len() != 0 {
-		t.Fatalf("uncloneable fork was stored: len = %d", s.Len())
-	}
-}
-
-// TestSymStoreThinning: the symbolic store shares the bounded stride-
-// thinned table — capacity thins transactionally instead of refusing.
-func TestSymStoreThinning(t *testing.T) {
-	s := NewSymStore(4)
-	for n := int64(10); n <= 80; n += 10 {
-		symAdd(t, s, n)
-	}
-	if s.Len() > 4 {
-		t.Fatalf("capacity ignored: len = %d", s.Len())
-	}
-	if s.Thinned() == 0 || s.Stride() == 0 {
-		t.Fatalf("capacity did not thin: thinned=%d stride=%d", s.Thinned(), s.Stride())
-	}
-	if r, ok := s.Resume(1000, nil); !ok || r.Steps < 40 {
-		t.Fatalf("post-thinning coverage lost the tail: %+v ok %v", r, ok)
+		t.Fatalf("uncloneable controller was stored: len = %d", s.Len())
 	}
 }

@@ -154,25 +154,6 @@ type Options struct {
 	// Values <= 0 derive the paper-era default 4*Mp + 32.
 	MaxPathItems int
 
-	// MaxCheckpoints bounds each shared checkpoint store — the concrete
-	// replay store and the symbolic exploration store (one full state
-	// clone per entry, plus pending fork clones for symbolic entries).
-	// Values <= 0 mean the default (64).
-	MaxCheckpoints int
-
-	// DetectCheckpointEvery is the initial cadence, in completed
-	// instructions, of the periodic replay checkpoints the detection pass
-	// deposits while it records the trace; the cadence doubles after each
-	// periodic deposit (O(log trace) snapshots, the nearest one below any
-	// point within half the replay it saves), and each new race cluster's
-	// detection point deposits one regardless. Periodic deposits are what
-	// let even the first race of a trace resume (its first racing access
-	// precedes every detection point). 0 means the default
-	// (DefaultDetectCheckpointEvery); negative disables the periodic
-	// cadence, keeping only the cluster-point deposits. Ignored when
-	// NoCache is set.
-	DetectCheckpointEvery int64
-
 	// NoCache disables the shared replay-checkpoint store and the
 	// memoizing solver cache. Verdicts are byte-identical with the caches
 	// on or off (asserted by the determinism suite); the gate exists for
@@ -241,16 +222,19 @@ type Options struct {
 	Parallel int
 }
 
-// DefaultDetectCheckpointEvery is the default initial cadence of the
-// detection pass's periodic replay checkpoints (the cadence doubles
-// after each one, so a T-instruction trace deposits ~log2(T/64) of
-// them). With copy-on-write State.Clone a deposit costs one allocation,
-// so the default starts dense: a 64-step initial window covers even the
-// shortest traces ahead of their first race, and the geometric doubling
-// still bounds the total deposit count logarithmically. The cadence only
-// changes where snapshots are taken, never what the analysis computes —
-// verdicts are byte-identical across cadences (asserted by
-// TestDenseCadenceVerdictsMatchGeometric).
+// DefaultDetectCheckpointEvery is the initial cadence, in completed
+// instructions, of the periodic replay checkpoints the detection pass
+// deposits while it records the trace (unless NoCache is set). The
+// cadence doubles after each periodic deposit, so a T-instruction trace
+// deposits ~log2(T/64) of them, and each new race cluster's detection
+// point deposits one regardless. Periodic deposits are what let even the
+// first race of a trace resume (its first racing access precedes every
+// detection point). With copy-on-write State.Clone a deposit costs one
+// allocation, so the cadence starts dense: a 64-step initial window
+// covers even the shortest traces ahead of their first race. The
+// cadence only changes where snapshots are taken, never what the
+// analysis computes — verdicts are byte-identical with the checkpoint
+// stores on or off (the determinism suites' caches-off arms).
 const DefaultDetectCheckpointEvery = 64
 
 // DefaultOptions returns the configuration used throughout the
@@ -264,7 +248,6 @@ func DefaultOptions() Options {
 		RunBudget:      3_000_000,
 		MaxForks:       64,
 		MaxQueuedForks: 128,
-		MaxCheckpoints: 64,
 		// MaxPathItems stays 0: it derives from the effective Mp (4*Mp+32)
 		// at Classifier construction.
 		AdHocDetection: true,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bytecode"
+	"repro/internal/ckpt"
 	"repro/internal/race"
 	"repro/internal/solver"
 	"repro/internal/trace"
@@ -105,7 +106,7 @@ func New(prog *bytecode.Program, opts Options) *Classifier {
 			opts.Tier.bindPredicates(opts.Predicates)
 			shared = opts.Tier.shared
 		} else {
-			shared = newSharedCaches(opts)
+			shared = newSharedCaches()
 		}
 	}
 	sol := solver.New(opts.Solver)
@@ -326,10 +327,10 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		ctl    vm.Controller
 		budget = c.Opts.RunBudget
 	)
-	store := c.shared.storeFor(tr)
+	store, _ := c.shared.storesFor(tr)
 	if store != nil && rep.First.Global > 0 {
-		if rst, rctl, steps, ok := store.Resume(rep.First.Global, nil); ok {
-			st, ctl = rst, rctl
+		if e, steps, ok := store.Resume(rep.First.Global, nil); ok {
+			st, ctl = e.State, e.Ctl
 			c.ckptHits++
 			if budget >= 0 {
 				if budget -= steps; budget < 0 {
@@ -355,9 +356,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		return nil, fmt.Errorf("portend: replay did not reach first racing access of %s (%v)", rep.ID(), res.Kind)
 	}
 	if store != nil {
-		if cc, ok := ctl.(vm.CloneableController); ok {
-			store.Add(st, cc)
-		}
+		store.Add(ckpt.Entry{State: st, Ctl: ctl})
 	}
 	pre := st.Clone()
 	dropAccessCounter(pre) // enforcement clones need no counting

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/bytecode"
+	"repro/internal/ckpt"
 	"repro/internal/lang"
 	"repro/internal/race"
 	"repro/internal/sa"
@@ -94,7 +95,7 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 			inner.Tier.bindPredicates(inner.Predicates)
 			inner.shared = inner.Tier.shared
 		} else {
-			inner.shared = newSharedCaches(inner)
+			inner.shared = newSharedCaches()
 		}
 	}
 	// Static pre-analysis: run the internal/sa pass once per run (unless
@@ -233,16 +234,12 @@ func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
 		extra = append(extra, &PredicateObserver{Preds: opts.Predicates})
 	}
 	extra = append(extra, newAccessCounter())
-	every := opts.DetectCheckpointEvery
-	if every == 0 {
-		every = DefaultDetectCheckpointEvery
-	}
 	cfg := race.DetectConfig{
 		Extra:         extra,
-		SnapshotEvery: every, // negative: cluster-point deposits only
+		SnapshotEvery: DefaultDetectCheckpointEvery,
 		Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
-			if store := shared.storeFor(tr); store != nil {
-				store.Add(st, trace.ReplayerAt(tr, vm.NewRoundRobin(), decisions))
+			if store, _ := shared.storesFor(tr); store != nil {
+				store.Add(ckpt.Entry{State: st, Ctl: trace.ReplayerAt(tr, vm.NewRoundRobin(), decisions)})
 			}
 		},
 	}

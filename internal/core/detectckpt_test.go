@@ -64,10 +64,9 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 	p := bytecode.MustCompile(detectSeedSrc, "detectseed", bytecode.Options{})
 	opts := DefaultOptions()
 	opts.Parallel = 1
-	opts.DetectCheckpointEvery = 64
 	opts = New(p, opts).Opts // normalize defaults the way RunStream's classifiers see them
 
-	shared := newSharedCaches(opts)
+	shared := newSharedCaches()
 	det := race.DetectWith(context.Background(), p, nil, nil, opts.RunBudget, detectionConfig(opts, shared))
 	if len(det.Reports) < 3 {
 		t.Fatalf("expected 3 races, got %d", len(det.Reports))
@@ -82,13 +81,13 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 	if first.First.Global == 0 {
 		t.Fatalf("first race carries no replay coordinate: %+v", first.First)
 	}
-	st, _, steps, ok := shared.store.Resume(first.First.Global, nil)
+	e, steps, ok := shared.store.Resume(first.First.Global, nil)
 	if !ok || steps == 0 {
 		t.Fatalf("no detection snapshot at or before race #1's first access (%d): ok=%v steps=%d",
 			first.First.Global, ok, steps)
 	}
-	if st.Steps != steps {
-		t.Fatalf("snapshot state at %d steps, entry filed under %d", st.Steps, steps)
+	if e.State.Steps != steps {
+		t.Fatalf("snapshot state at %d steps, entry filed under %d", e.State.Steps, steps)
 	}
 
 	// Classifying race #1 against the detection-seeded store resumes.
@@ -109,7 +108,6 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 func TestDetectionCheckpointsEndToEnd(t *testing.T) {
 	on := DefaultOptions()
 	on.Parallel = 1
-	on.DetectCheckpointEvery = 64
 	off := on
 	off.NoCache = true
 

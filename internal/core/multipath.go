@@ -110,29 +110,29 @@ type explorationRoot struct {
 //  3. A full symbolic replay from the root.
 func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) explorationRoot {
 	limit := rep.First.Global
-	sym := c.shared.symFor(tr)
+	store, sym := c.shared.storesFor(tr)
 	if sym != nil && limit > 0 {
 		accept := func(st *vm.State) bool {
 			ac := findAccessCounter(st)
 			return ac != nil && !ac.touchedObj(rep.Key.Space, rep.Key.Obj) &&
 				st.Steps <= c.Opts.RunBudget
 		}
-		if r, ok := sym.Resume(limit, accept); ok {
+		if e, steps, ok := sym.Resume(limit, accept); ok {
 			c.symHits++
-			pending := make([]*pathItem, len(r.Forks))
-			for i, f := range r.Forks {
+			pending := make([]*pathItem, len(e.Forks))
+			for i, f := range e.Forks {
 				pending[i] = &pathItem{st: f.State, ctl: f.Ctl}
 			}
 			return explorationRoot{
-				item:      &pathItem{st: r.State, ctl: r.Ctl, skipped: r.Steps, mainline: true},
+				item:      &pathItem{st: e.State, ctl: e.Ctl, skipped: steps, mainline: true},
 				pending:   pending,
-				branches:  r.Branches,
-				forksUsed: r.ForksUsed,
-				dropped:   r.Dropped,
+				branches:  e.Branches,
+				forksUsed: e.ForksUsed,
+				dropped:   e.Dropped,
 			}
 		}
 	}
-	if store := c.shared.storeFor(tr); store != nil && limit > 0 {
+	if store != nil && limit > 0 {
 		accept := func(st *vm.State) bool {
 			ac := findAccessCounter(st)
 			if ac == nil || ac.touchedObj(rep.Key.Space, rep.Key.Obj) {
@@ -146,7 +146,8 @@ func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) exploratio
 			}
 			return true
 		}
-		if st, ctl, steps, ok := store.Resume(limit, accept); ok {
+		if e, steps, ok := store.Resume(limit, accept); ok {
+			st, ctl := e.State, e.Ctl
 			c.ckptHits++
 			// The counter stays attached: the mainline deposits symbolic
 			// snapshots of its own, and their accept check needs the
@@ -187,22 +188,21 @@ func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) exploratio
 // there would only duplicate coverage at the price of cloning the state
 // and its fork queue. The symbolic store holds what only it can hold —
 // snapshots past the symbolic-input frontier.
-func (c *Classifier) depositSym(sym *ckpt.SymStore, it *pathItem, work []*pathItem, eng *explore.Engine, dropped int) {
+func (c *Classifier) depositSym(sym *ckpt.Store, it *pathItem, work []*pathItem, eng *explore.Engine, dropped int) {
 	if it.st.In.Pos == 0 && it.st.ArgReads == 0 {
 		return
 	}
-	cc, ok := it.ctl.(vm.CloneableController)
-	if !ok {
-		return
+	e := ckpt.Entry{
+		State: it.st, Ctl: it.ctl,
+		Branches: eng.Branches(), ForksUsed: c.Opts.MaxForks - eng.ForksLeft(), Dropped: dropped,
 	}
-	var forks []ckpt.PendingFork
 	if len(work) > 0 {
-		forks = make([]ckpt.PendingFork, len(work))
+		e.Forks = make([]ckpt.PendingFork, len(work))
 		for i, w := range work {
-			forks[i] = ckpt.PendingFork{State: w.st, Ctl: w.ctl}
+			e.Forks[i] = ckpt.PendingFork{State: w.st, Ctl: w.ctl}
 		}
 	}
-	sym.Add(it.st, cc, forks, eng.Branches(), c.Opts.MaxForks-eng.ForksLeft(), dropped)
+	sym.Add(e)
 }
 
 // collectPrimaries explores up to Mp primary paths that (a) follow the
@@ -223,7 +223,7 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 	root := c.multipathRoot(rep, tr)
 	eng.Seed(root.branches, root.forksUsed)
 	work := append([]*pathItem{root.item}, root.pending...)
-	sym := c.shared.symFor(tr)
+	_, sym := c.shared.storesFor(tr)
 
 	maxQueue := c.Opts.MaxQueuedForks
 	maxItems := c.Opts.MaxPathItems

@@ -11,12 +11,12 @@ import (
 	"repro/internal/vm"
 )
 
-// sharedCaches bundles the per-analysis-run reuse machinery: the
-// concrete replay checkpoint store (replays resume from the nearest
-// prior snapshot instead of the program's initial state — populated by
-// the detection pass and by classification replays), the symbolic
-// checkpoint store (multi-path explorations resume from prior
-// explorations' mainline snapshots, pending forks included), and the
+// sharedCaches bundles the per-analysis-run reuse machinery: two
+// instances of ckpt.Store — the concrete replay store (replays resume
+// from the nearest prior snapshot instead of the program's initial state
+// — populated by the detection pass and by classification replays) and
+// the exploration-mainline store (multi-path explorations resume from
+// prior explorations' mainline snapshots, pending forks included) — and the
 // memoizing solver cache (structurally identical queries are answered
 // once). RunStream creates one bundle per run and threads it through
 // every Classifier it builds; a Classifier constructed directly gets a
@@ -32,18 +32,18 @@ import (
 // else — which is what the determinism suite asserts by diffing cached
 // against uncached runs byte for byte.
 type sharedCaches struct {
-	store *ckpt.Store
-	sym   *ckpt.SymStore
+	store *ckpt.Store // concrete replay checkpoints
+	sym   *ckpt.Store // exploration-mainline checkpoints
 	cache *solver.Cache
 
 	mu sync.Mutex
 	tr *trace.Trace // the trace both checkpoint stores serve
 }
 
-func newSharedCaches(opts Options) *sharedCaches {
+func newSharedCaches() *sharedCaches {
 	return &sharedCaches{
-		store: ckpt.NewStore(opts.MaxCheckpoints),
-		sym:   ckpt.NewSymStore(opts.MaxCheckpoints),
+		store: ckpt.NewStore(ckpt.DefaultMax),
+		sym:   ckpt.NewStore(ckpt.DefaultMax),
 		cache: solver.NewCache(0),
 	}
 }
@@ -74,20 +74,13 @@ func (s *sharedCaches) bindTrace(tr *trace.Trace) bool {
 	return s.tr == tr
 }
 
-// storeFor returns the concrete checkpoint store serving tr, or nil.
-func (s *sharedCaches) storeFor(tr *trace.Trace) *ckpt.Store {
+// storesFor returns the concrete replay and exploration-mainline
+// checkpoint stores serving tr, or nils.
+func (s *sharedCaches) storesFor(tr *trace.Trace) (store, sym *ckpt.Store) {
 	if s == nil || tr == nil || !s.bindTrace(tr) {
-		return nil
+		return nil, nil
 	}
-	return s.store
-}
-
-// symFor returns the symbolic checkpoint store serving tr, or nil.
-func (s *sharedCaches) symFor(tr *trace.Trace) *ckpt.SymStore {
-	if s == nil || tr == nil || !s.bindTrace(tr) {
-		return nil
-	}
-	return s.sym
+	return s.store, s.sym
 }
 
 // solverCache returns the shared solver memo (nil when caching is off).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"sort"
@@ -377,35 +378,62 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 	sh.mu.Lock()
 	tr := sh.tr
 	sh.mu.Unlock()
+	cx, sx := sh.store.Export(), sh.sym.Export()
+	if tr == nil {
+		// Restore and BeginRun leave the binding clear until detection
+		// binds a new trace; the stored replayers still carry one, and
+		// their wire form is unreadable without it.
+		tr = replayedTrace(cx, sx)
+	}
 
 	snap := &TierSnapshot{Runs: runs}
 	if tr != nil {
 		snap.Trace = tr.Clone()
 	}
-	var prog *bytecode.Program
 
-	cx := sh.store.Export()
+	concrete, cprog := encodeEntries(cx.Entries)
+	for _, w := range concrete {
+		snap.Concrete = append(snap.Concrete, ConcreteEntryWire{Steps: w.Steps, State: w.State, Ctl: w.Ctl})
+	}
 	snap.ConcreteStride, snap.ConcreteThinned = cx.Stride, cx.Thinned
 	snap.ConcreteHits, snap.ConcreteMisses = cx.Hits, cx.Misses
-	for _, e := range cx.Entries {
-		sw, ok := vm.EncodeState(e.State, encodeObs)
-		if !ok {
-			continue
-		}
-		cw, ok := encodeCtl(e.Ctl)
-		if !ok {
-			continue
-		}
-		if prog == nil {
-			prog = e.State.Prog
-		}
-		snap.Concrete = append(snap.Concrete, ConcreteEntryWire{Steps: e.Steps, State: sw, Ctl: cw})
-	}
-
-	sx := sh.sym.Export()
+	var sprog *bytecode.Program
+	snap.Sym, sprog = encodeEntries(sx.Entries)
 	snap.SymStride, snap.SymThinned = sx.Stride, sx.Thinned
 	snap.SymHits, snap.SymMisses = sx.Hits, sx.Misses
-	for _, e := range sx.Entries {
+
+	snap.Program = cmp.Or(cprog, sprog)
+	snap.Solver = encodeSolver(sh.cache.Export())
+	return snap
+}
+
+// replayedTrace returns the trace a stored replay controller follows, or
+// nil when no stored entry replays one. Under the tier's determinism
+// contract every stored replayer's trace has the same content.
+func replayedTrace(stores ...ckpt.Exported) *trace.Trace {
+	for _, x := range stores {
+		for _, e := range x.Entries {
+			if r, ok := e.Ctl.(*trace.Replayer); ok {
+				return r.T
+			}
+			for _, f := range e.Forks {
+				if r, ok := f.Ctl.(*trace.Replayer); ok {
+					return r.T
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// encodeEntries renders checkpoints in the symbolic wire form (a concrete
+// entry is one with no forks and zero counters) and returns them with
+// the program the first one executes. An entry with any state, observer,
+// or controller lacking a wire form is skipped whole — the snapshot is a
+// cache, and a skipped entry only costs warmth.
+func encodeEntries(es []ckpt.Entry) (out []SymEntryWire, prog *bytecode.Program) {
+next:
+	for _, e := range es {
 		sw, ok := vm.EncodeState(e.State, encodeObs)
 		if !ok {
 			continue
@@ -414,36 +442,27 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 		if !ok {
 			continue
 		}
-		ew := SymEntryWire{
-			Steps: e.Steps, State: sw, Ctl: cw,
+		w := SymEntryWire{
+			Steps: e.State.Steps, State: sw, Ctl: cw,
 			Branches: e.Branches, ForksUsed: e.ForksUsed, Dropped: e.Dropped,
 		}
-		ok = true
 		for _, f := range e.Forks {
-			fsw, fok := vm.EncodeState(f.State, encodeObs)
-			if !fok {
-				ok = false
-				break
+			fsw, ok := vm.EncodeState(f.State, encodeObs)
+			if !ok {
+				continue next
 			}
-			fcw, fok := encodeCtl(f.Ctl)
-			if !fok {
-				ok = false
-				break
+			fcw, ok := encodeCtl(f.Ctl)
+			if !ok {
+				continue next
 			}
-			ew.Forks = append(ew.Forks, ForkWire{State: fsw, Ctl: fcw})
-		}
-		if !ok {
-			continue // an unserializable fork poisons the whole entry, as in Add
+			w.Forks = append(w.Forks, ForkWire{State: fsw, Ctl: fcw})
 		}
 		if prog == nil {
 			prog = e.State.Prog
 		}
-		snap.Sym = append(snap.Sym, ew)
+		out = append(out, w)
 	}
-
-	snap.Program = prog
-	snap.Solver = encodeSolver(sh.cache.Export())
-	return snap
+	return out, prog
 }
 
 // encodeSolver renders a solver cache export over one shared node table.
@@ -504,51 +523,50 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 		return po, nil
 	}
 
-	cx := ckpt.ExportedStore{
+	// One decode path for both stores: a concrete entry is a symbolic one
+	// with no forks and zero counters.
+	decode := func(ew SymEntryWire) (ckpt.Entry, error) {
+		e := ckpt.Entry{Branches: ew.Branches, ForksUsed: ew.ForksUsed, Dropped: ew.Dropped}
+		var err error
+		if e.State, err = vm.DecodeState(prog, ew.State, decObs); err != nil {
+			return e, err
+		}
+		if e.Ctl, err = decodeCtl(ew.Ctl, tr); err != nil {
+			return e, err
+		}
+		for i, fw := range ew.Forks {
+			var f ckpt.PendingFork
+			if f.State, err = vm.DecodeState(prog, fw.State, decObs); err != nil {
+				return e, fmt.Errorf("fork %d: %w", i, err)
+			}
+			if f.Ctl, err = decodeCtl(fw.Ctl, tr); err != nil {
+				return e, fmt.Errorf("fork %d: %w", i, err)
+			}
+			e.Forks = append(e.Forks, f)
+		}
+		return e, nil
+	}
+	cx := ckpt.Exported{
 		Stride: snap.ConcreteStride, Thinned: snap.ConcreteThinned,
 		Hits: snap.ConcreteHits, Misses: snap.ConcreteMisses,
 	}
 	for _, ew := range snap.Concrete {
-		st, err := vm.DecodeState(prog, ew.State, decObs)
+		e, err := decode(SymEntryWire{Steps: ew.Steps, State: ew.State, Ctl: ew.Ctl})
 		if err != nil {
 			return fmt.Errorf("concrete checkpoint @%d: %w", ew.Steps, err)
 		}
-		ctl, err := decodeCtl(ew.Ctl, tr)
-		if err != nil {
-			return fmt.Errorf("concrete checkpoint @%d: %w", ew.Steps, err)
-		}
-		cx.Entries = append(cx.Entries, ckpt.ExportedEntry{Steps: ew.Steps, State: st, Ctl: ctl})
+		cx.Entries = append(cx.Entries, e)
 	}
-
-	sx := ckpt.ExportedSymStore{
+	sx := ckpt.Exported{
 		Stride: snap.SymStride, Thinned: snap.SymThinned,
 		Hits: snap.SymHits, Misses: snap.SymMisses,
 	}
 	for _, ew := range snap.Sym {
-		st, err := vm.DecodeState(prog, ew.State, decObs)
+		e, err := decode(ew)
 		if err != nil {
 			return fmt.Errorf("symbolic checkpoint @%d: %w", ew.Steps, err)
 		}
-		ctl, err := decodeCtl(ew.Ctl, tr)
-		if err != nil {
-			return fmt.Errorf("symbolic checkpoint @%d: %w", ew.Steps, err)
-		}
-		xe := ckpt.ExportedSymEntry{
-			Steps: ew.Steps, State: st, Ctl: ctl,
-			Branches: ew.Branches, ForksUsed: ew.ForksUsed, Dropped: ew.Dropped,
-		}
-		for i, fw := range ew.Forks {
-			fst, err := vm.DecodeState(prog, fw.State, decObs)
-			if err != nil {
-				return fmt.Errorf("symbolic checkpoint @%d fork %d: %w", ew.Steps, i, err)
-			}
-			fctl, err := decodeCtl(fw.Ctl, tr)
-			if err != nil {
-				return fmt.Errorf("symbolic checkpoint @%d fork %d: %w", ew.Steps, i, err)
-			}
-			xe.Forks = append(xe.Forks, ckpt.PendingFork{State: fst, Ctl: fctl})
-		}
-		sx.Entries = append(sx.Entries, xe)
+		sx.Entries = append(sx.Entries, e)
 	}
 
 	var solverX solver.CacheExport

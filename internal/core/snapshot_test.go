@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"testing"
 
@@ -32,7 +33,6 @@ func runOnTierWith(t *testing.T, tier *CacheTier, src string, opts Options, inpu
 func snapshotTestOptions() Options {
 	opts := DefaultOptions()
 	opts.Parallel = 1
-	opts.DetectCheckpointEvery = 64
 	return opts
 }
 
@@ -56,19 +56,10 @@ func TestTierSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("seed run deposited no checkpoints; snapshot test is vacuous")
 	}
 
-	// Serialize exactly like the durable store does (gob over the wire
-	// struct), then restore into a fresh tier.
-	snap := tierA.Snapshot()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var decoded TierSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&decoded); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	// Serialize exactly like the durable store does, then restore into a
+	// fresh tier.
 	tierB := NewCacheTier(DefaultOptions())
-	if err := tierB.Restore(&decoded); err != nil {
+	if err := tierB.Restore(gobRoundTrip(t, tierA.Snapshot())); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 
@@ -132,5 +123,113 @@ func TestRestoreEmptySnapshot(t *testing.T) {
 	}
 	if s := fresh.Stats(); s.Warm() {
 		t.Errorf("empty restore produced warmth: %+v", s)
+	}
+}
+
+// gobRoundTrip serializes snap exactly like the durable store does (gob
+// over the wire struct) and decodes it back.
+func gobRoundTrip(t *testing.T, snap *TierSnapshot) *TierSnapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	var back TierSnapshot
+	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return &back
+}
+
+// tierCase is one program analyzed on a tier; mainline marks a case
+// whose tier must also hold exploration-mainline checkpoints.
+type tierCase struct {
+	name     string
+	src      string
+	opts     func() Options
+	inputs   []int64
+	mainline bool
+}
+
+// tracelessCases are the two shapes a restored tier holds: concrete
+// replay checkpoints only, and exploration-mainline checkpoints with
+// pending forks as well.
+var tracelessCases = []tierCase{
+	{"concrete", detectSeedSrc, snapshotTestOptions, []int64{3}, false},
+	{"mainline", siblingSkipProg, symOptions, []int64{2}, true},
+}
+
+// TestSnapshotOfRestoredTierRestores is a regression test: a restored
+// tier has no bound trace until a run's detection binds one, and its
+// snapshot used to write no trace next to its replay controllers, so the
+// restart after a flush of such a tier rejected the file ("replay
+// controller in a snapshot without a trace").
+func TestSnapshotOfRestoredTierRestores(t *testing.T) {
+	for _, tc := range tracelessCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tier := restoredTestTier(t, tc)
+			checkReRestore(t, tier, tier.Snapshot(), tc)
+		})
+	}
+}
+
+// TestSnapshotAfterCancelledRunRestores is the server-shaped variant: a
+// restored tier whose run is cancelled before detection binds a trace is
+// then flushed through SnapshotIfIdle.
+func TestSnapshotAfterCancelledRunRestores(t *testing.T) {
+	for _, tc := range tracelessCases {
+		t.Run(tc.name, func(t *testing.T) {
+			tier := restoredTestTier(t, tc)
+			end := tier.BeginRun()
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			opts := tc.opts()
+			opts.Tier = tier
+			p := bytecode.MustCompile(tc.src, "snaptest", bytecode.Options{})
+			if _, err := RunCtx(ctx, p, nil, tc.inputs, opts); err == nil {
+				t.Fatal("cancelled run reported no error")
+			}
+			end()
+			snap, ok := tier.SnapshotIfIdle()
+			if !ok {
+				t.Fatal("SnapshotIfIdle refused an idle tier")
+			}
+			checkReRestore(t, tier, snap, tc)
+		})
+	}
+}
+
+// restoredTestTier analyzes tc on a fresh tier and restores that tier's
+// snapshot into a new one, whose trace binding is clear.
+func restoredTestTier(t *testing.T, tc tierCase) *CacheTier {
+	t.Helper()
+	seed := NewCacheTier(tc.opts())
+	runOnTierWith(t, seed, tc.src, tc.opts(), tc.inputs)
+	tier := NewCacheTier(tc.opts())
+	if err := tier.Restore(gobRoundTrip(t, seed.Snapshot())); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if s := tier.Stats(); s.Checkpoints == 0 || (tc.mainline && s.SymCheckpoints == 0) {
+		t.Fatalf("restored tier holds too few checkpoints (%+v); the test is vacuous", s)
+	}
+	return tier
+}
+
+// checkReRestore restores snap, taken of from, into a fresh tier, which
+// must hold the same entries and traffic counters as from and analyze
+// tc exactly like a cold tier.
+func checkReRestore(t *testing.T, from *CacheTier, snap *TierSnapshot, tc tierCase) {
+	t.Helper()
+	back := NewCacheTier(tc.opts())
+	if err := back.Restore(gobRoundTrip(t, snap)); err != nil {
+		t.Fatalf("re-restore: %v", err)
+	}
+	if got, want := back.Stats(), from.Stats(); got != want {
+		t.Errorf("re-restored stats diverge:\n  want %+v\n  got  %+v", want, got)
+	}
+	cold := runOnTierWith(t, NewCacheTier(tc.opts()), tc.src, tc.opts(), tc.inputs)
+	warm := runOnTierWith(t, back, tc.src, tc.opts(), tc.inputs)
+	if a, b := renderRun(cold), renderRun(warm); a != b {
+		t.Errorf("re-restored tier changed verdicts\n--- cold ---\n%s\n--- re-restored ---\n%s", a, b)
 	}
 }

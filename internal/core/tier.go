@@ -63,11 +63,12 @@ func (t *CacheTier) StaticFacts(compute func() *sa.Facts) *sa.Facts {
 	return t.facts
 }
 
-// NewCacheTier builds an empty tier sized by the options' checkpoint
-// bound (MaxCheckpoints per store); the solver cache holds
-// solver.DefaultCacheSize entries.
+// NewCacheTier builds an empty tier: each checkpoint store holds up to
+// ckpt.DefaultMax entries and the solver cache solver.DefaultCacheSize.
+// opts no longer sizes anything; the parameter stays for existing
+// callers.
 func NewCacheTier(opts Options) *CacheTier {
-	return &CacheTier{shared: newSharedCaches(opts)}
+	return &CacheTier{shared: newSharedCaches()}
 }
 
 // BeginRun marks a run as using the tier and returns its end function.

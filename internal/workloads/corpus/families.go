@@ -308,7 +308,7 @@ func condvarHandoff(name string, val int64) *Program {
 
 // symPrefix: input() and input-dependent branches precede every race (the
 // races themselves are redundant writes). This is the shape that makes
-// the symbolic checkpoint store earn its keep — see ckpt.SymStore.
+// the symbolic checkpoint store earn its keep — see core.depositSym.
 func symPrefix(name string, races, branches, pad int) *Program {
 	truth := map[string]workloads.Expected{}
 	for i := 0; i < races; i++ {

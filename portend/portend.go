@@ -133,20 +133,6 @@ func WithStaticAnalysis(enabled bool) Option {
 	return func(o *core.Options) { o.NoStaticPrune = !enabled }
 }
 
-// WithCheckpointInterval sets the initial cadence, in interpreted
-// instructions, of the periodic replay checkpoints the detection pass
-// deposits while recording the trace (the cadence doubles after each
-// deposit, so long traces pay O(log trace) snapshots). These deposits
-// are what let even the first race of a trace resume its classification
-// replay mid-trace — every other checkpoint source lies at or after
-// some race's detection point. 0 keeps the default cadence (512);
-// negative disables the periodic deposits, keeping only the per-race
-// detection-point snapshots. The setting is ignored when caching is
-// disabled.
-func WithCheckpointInterval(steps int64) Option {
-	return func(o *core.Options) { o.DetectCheckpointEvery = steps }
-}
-
 // Features are the technique gates of the paper's Fig 7 ablation.
 type Features struct {
 	// AdHocDetection classifies unenforceable alternates as ad-hoc

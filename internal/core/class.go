@@ -160,22 +160,20 @@ type Options struct {
 	// that assertion and for ablation timing.
 	NoCache bool
 
-	// NoStaticPrune disables the static pre-analysis consumers: the
-	// multi-path worklist's dead-item prune (skipping exploration items
-	// whose remaining execution provably cannot reach the racy object
-	// class or any symbolic branch) and the detection pass's extra
-	// checkpoints at static race-candidate sites. Like the caches, the
-	// static consumers are verdict-neutral by construction — verdicts are
-	// byte-identical with pruning on or off, which the static determinism
-	// suite asserts — so the gate exists for that assertion and for
-	// ablation timing.
+	// NoStaticPrune disables the multi-path worklist's dead-item prune,
+	// which skips exploration items whose remaining execution provably
+	// cannot reach the racy object class or any symbolic branch. It is
+	// an engine-internal ablation gate like NoCache: no facade option or
+	// service request field sets it. The prune is verdict-neutral by
+	// construction — the determinism suites' ablation matrix asserts
+	// byte-identical verdicts with it on and off — so the gate exists for
+	// that assertion and for ablation timing (BenchmarkStaticPrune).
 	NoStaticPrune bool
 
 	// StaticFacts supplies a precomputed static-analysis artifact for the
 	// exact program under analysis (e.g. the server's admission-time facts
-	// cached on its tier). nil lets RunStream run the pass itself when
-	// static consumers are enabled. Facts decoded from JSON lack the
-	// per-pc consumer index and degrade to no pruning.
+	// cached on its tier). nil lets RunStream run the pass itself unless
+	// NoStaticPrune is set.
 	StaticFacts *sa.Facts
 
 	// Feature gates (Fig 7): ad-hoc synchronization detection, multi-path

@@ -100,10 +100,10 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	}
 	// Static pre-analysis: run the internal/sa pass once per run (unless
 	// the caller supplied cached facts, e.g. the server's admission-time
-	// artifact) and thread the facts through detection checkpointing and
-	// every classifier's multi-path prune. Like the caches, the static
-	// consumers only shift work, never verdicts — the static determinism
-	// suite asserts byte-identical verdicts with NoStaticPrune on and off.
+	// artifact) and thread the facts through every classifier's multi-path
+	// prune. Like the caches, the prune only shifts work, never verdicts —
+	// the determinism suites' ablation matrix asserts byte-identical
+	// verdicts with NoStaticPrune on and off.
 	if !inner.NoStaticPrune && inner.StaticFacts == nil {
 		inner.StaticFacts = sa.Analyze(p)
 	}
@@ -234,7 +234,7 @@ func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
 		extra = append(extra, &PredicateObserver{Preds: opts.Predicates})
 	}
 	extra = append(extra, newAccessCounter())
-	cfg := race.DetectConfig{
+	return race.DetectConfig{
 		Extra:         extra,
 		SnapshotEvery: DefaultDetectCheckpointEvery,
 		Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
@@ -243,16 +243,6 @@ func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
 			}
 		},
 	}
-	// Prioritize checkpoint placement near statically likely race pairs:
-	// one extra deposit right before the first execution of each static
-	// candidate site, so the classification of a race at that site resumes
-	// from a snapshot immediately upstream of it instead of the nearest
-	// geometric-cadence one. Snapshot parks never change what the machine
-	// executes, so this shifts replay time only.
-	if f := opts.StaticFacts; f != nil && !opts.NoStaticPrune {
-		cfg.HotSite = f.CandidateSite
-	}
-	return cfg
 }
 
 // ByClass groups the verdicts by class.

@@ -378,8 +378,8 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 // a possibly-symbolic operand. Frame PCs are resume points (the caller's
 // PC already sits past its CALL), which is exactly the per-pc reach
 // granularity internal/sa computes; a frame parked at pc == len(code) has
-// an empty reach set. Answers degrade safely: no facts, an index-less
-// decoded artifact, or out-of-range coordinates all report "may".
+// an empty reach set. Answers degrade safely: no facts or out-of-range
+// coordinates report "may".
 func (c *Classifier) staticDead(st *vm.State, space vm.Space, obj int64) bool {
 	f := c.Opts.StaticFacts
 	if f == nil || c.Opts.NoStaticPrune {

@@ -45,15 +45,6 @@ type DetectConfig struct {
 	// depositing into a ckpt.Store clones it.
 	Snapshot func(st *vm.State, tr *trace.Trace, decisions int)
 
-	// HotSite, when non-nil alongside Snapshot, marks instruction
-	// coordinates (function index, pc) worth an extra checkpoint: the
-	// recording parks and deposits a snapshot immediately before the
-	// first execution of each marked instruction. The static analysis
-	// pass marks its race-pair candidate sites, placing a resume point
-	// right upstream of each statically likely race. Marked sync ops are
-	// ignored (parks happen only before non-sync instructions).
-	HotSite func(fn, pc int) bool
-
 	// SnapshotEvery is the initial periodic snapshot cadence in completed
 	// instructions; <= 0 disables periodic snapshots (cluster-detection
 	// snapshots still fire). The cadence doubles after every periodic
@@ -140,25 +131,11 @@ func recordSnapshotting(st *vm.State, det *Detector, budget int64, interrupt fun
 	if every > 0 {
 		next = every
 	}
-	var hotSeen map[[2]int]bool
-	if cfg.HotSite != nil {
-		hotSeen = map[[2]int]bool{}
-	}
-	m.Break = func(s *vm.State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
+	m.Break = func(s *vm.State, _ int, _ bytecode.PCRef, in bytecode.Instr) bool {
 		if in.Op.IsSyncOp() {
 			return false
 		}
-		if pending || (next >= 0 && s.Steps >= next) {
-			return true
-		}
-		if hotSeen != nil && cfg.HotSite(pc.Fn, pc.PC) {
-			key := [2]int{pc.Fn, pc.PC}
-			if !hotSeen[key] {
-				hotSeen[key] = true
-				return true
-			}
-		}
-		return false
+		return pending || (next >= 0 && s.Steps >= next)
 	}
 
 	remaining := budget

@@ -39,7 +39,9 @@ type Facts struct {
 
 	Lints []Lint `json:"lints,omitempty"`
 
-	idx *index // consumer-side tables; absent after JSON decode
+	// reach is the per-pc reach table (indexed [fn][pc]) the engine's
+	// multi-path prune queries. It is not serialized.
+	reach [][]reachSet
 }
 
 // Site is one shared-access instruction in a candidate pair.
@@ -81,13 +83,6 @@ type Lint struct {
 	Msg      string `json:"msg"`
 }
 
-// index carries the per-pc tables the in-process consumers (core's
-// pruning, detection's hot sites) query. It is not serialized.
-type index struct {
-	reach [][]reachSet
-	cand  [][]bool
-}
-
 // Encode renders the canonical byte-stable artifact.
 func (f *Facts) Encode() []byte {
 	b, err := json.MarshalIndent(f, "", "  ")
@@ -95,20 +90,6 @@ func (f *Facts) Encode() []byte {
 		panic(err) // Facts is marshal-safe by construction
 	}
 	return append(b, '\n')
-}
-
-// Decode parses an encoded artifact. The result answers the canonical
-// queries (candidates, lints, race-freedom) but not the per-pc consumer
-// queries, which degrade to their conservative answers.
-func Decode(b []byte) (*Facts, error) {
-	var f Facts
-	if err := json.Unmarshal(b, &f); err != nil {
-		return nil, err
-	}
-	if f.SchemaV != Schema {
-		return nil, fmt.Errorf("sa: unknown facts schema %q", f.SchemaV)
-	}
-	return &f, nil
 }
 
 // ErrorLints returns the error-severity diagnostics.
@@ -124,8 +105,8 @@ func (f *Facts) ErrorLints() []Lint {
 
 // FrameMayTouchGlobal reports whether an activation of fn suspended (or
 // executing) at pc may still access global g, directly or through
-// anything it calls or spawns. Conservative (true) without an index or
-// out of range.
+// anything it calls or spawns. Conservative (true) without a reach table
+// or out of range.
 func (f *Facts) FrameMayTouchGlobal(fn, pc, g int) bool {
 	r := f.reachAt(fn, pc)
 	if r == nil {
@@ -154,22 +135,11 @@ func (f *Facts) FrameMayFork(fn, pc int) bool {
 	return r.fork
 }
 
-// CandidateSite reports whether (fn, pc) is a site of some candidate
-// pair. False without an index (the hot-site optimization just
-// disables).
-func (f *Facts) CandidateSite(fn, pc int) bool {
-	if f == nil || f.idx == nil || fn < 0 || fn >= len(f.idx.cand) {
-		return false
-	}
-	row := f.idx.cand[fn]
-	return pc >= 0 && pc < len(row) && row[pc]
-}
-
 func (f *Facts) reachAt(fn, pc int) *reachSet {
-	if f == nil || f.idx == nil || fn < 0 || fn >= len(f.idx.reach) {
+	if f == nil || fn < 0 || fn >= len(f.reach) {
 		return nil
 	}
-	row := f.idx.reach[fn]
+	row := f.reach[fn]
 	if pc < 0 || pc >= len(row) {
 		// pc == len(code) (a frame past its last instruction) has
 		// nothing left to run: the empty reach set.
@@ -243,11 +213,7 @@ func (a *analysis) facts() *Facts {
 		Globals: len(p.Globals),
 		Mutexes: len(p.Mutexes),
 		LockTop: a.lockTop,
-		idx:     &index{reach: a.pcReach},
-	}
-	f.idx.cand = make([][]bool, len(p.Funcs))
-	for i := range p.Funcs {
-		f.idx.cand[i] = make([]bool, len(p.Funcs[i].Code))
+		reach:   a.pcReach,
 	}
 
 	// Collect reachable shared-access sites per object class: globals
@@ -303,8 +269,6 @@ func (a *analysis) facts() *Facts {
 					continue // common must-held lock: mutually exclusive
 				}
 				hadCandidate = true
-				f.idx.cand[s1.fn][s1.pc] = true
-				f.idx.cand[s2.fn][s2.pc] = true
 				f.Candidates = append(f.Candidates, Candidate{
 					Object: object,
 					Space:  space,

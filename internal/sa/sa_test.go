@@ -221,25 +221,6 @@ func TestSymbolicForkReach(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	f := Analyze(compile(t, "racy", racySrc))
-	b := f.Encode()
-	g, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b, g.Encode()) {
-		t.Fatal("decode/encode not stable")
-	}
-	// Decoded facts lack the index: consumer queries are conservative.
-	if !g.FrameMayTouchGlobal(0, 0, 0) || !g.FrameMayFork(0, 0) {
-		t.Fatal("decoded facts must answer conservatively")
-	}
-	if g.CandidateSite(0, 0) {
-		t.Fatal("decoded facts must not claim candidate sites")
-	}
-}
-
 // Byte-determinism at the package level: repeated and concurrent
 // analyses of one program yield identical artifacts. (The cross-workload
 // and corpus sweep lives in the repo-root static determinism suite.)

@@ -50,13 +50,6 @@ type RequestOptions struct {
 	RunBudget      int64   `json:"runBudget,omitempty"`
 	EnforceBudget  int64   `json:"enforceBudget,omitempty"`
 	Seed           *uint64 `json:"seed,omitempty"`
-
-	// NoStaticPrune disables every static-analysis consumer for this
-	// request: the admission lint rejection (422), the statically-clean
-	// fast path, and the engine's verdict-preserving schedule prune. The
-	// verdict stream is byte-identical either way; the flag exists for
-	// ablation and for forcing a full dynamic run.
-	NoStaticPrune bool `json:"noStaticPrune,omitempty"`
 }
 
 // Validate rejects requests that name no target or both targets.

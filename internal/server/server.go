@@ -330,41 +330,38 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// answer the empty verdict stream immediately. Target-resolution
 	// failures leave facts nil and fall through so the dynamic path
 	// reports them exactly as before.
-	if !opts.NoStaticPrune {
-		tier := s.tierFor(keyFor(&req, opts))
-		facts := tier.StaticFacts(func() *sa.Facts {
-			lr, err := portend.Lint(target)
-			if err != nil {
-				return nil
-			}
-			return lr.Facts()
-		})
-		if facts != nil {
-			if bad := facts.ErrorLints(); len(bad) > 0 {
-				s.metrics.lintRejections.Add(1)
-				body := ErrorBody{Error: "static analysis: program faults on every execution of the flagged synchronization"}
-				for _, l := range bad {
-					body.Lint = append(body.Lint, LintIssue{
-						Rule: l.Rule, Severity: l.Severity, Fn: l.Fn, Line: l.Line, Msg: l.Msg,
-					})
-				}
-				writeError(w, http.StatusUnprocessableEntity, body)
-				return
-			}
-			if facts.RaceFree {
-				s.metrics.requests.Add(1)
-				s.metrics.staticClean.Add(1)
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				_ = json.NewEncoder(w).Encode(Event{Type: EventDone, Done: &DoneInfo{
-					Target:      target.Name(),
-					StaticClean: true,
-				}})
-				s.metrics.completed.Add(1)
-				return
-			}
-			opts.StaticFacts = facts
+	facts := s.tierFor(keyFor(&req, opts)).StaticFacts(func() *sa.Facts {
+		lr, err := portend.Lint(target)
+		if err != nil {
+			return nil
 		}
+		return lr.Facts()
+	})
+	if facts != nil {
+		if bad := facts.ErrorLints(); len(bad) > 0 {
+			s.metrics.lintRejections.Add(1)
+			body := ErrorBody{Error: "static analysis: program faults on every execution of the flagged synchronization"}
+			for _, l := range bad {
+				body.Lint = append(body.Lint, LintIssue{
+					Rule: l.Rule, Severity: l.Severity, Fn: l.Fn, Line: l.Line, Msg: l.Msg,
+				})
+			}
+			writeError(w, http.StatusUnprocessableEntity, body)
+			return
+		}
+		if facts.RaceFree {
+			s.metrics.requests.Add(1)
+			s.metrics.staticClean.Add(1)
+			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.WriteHeader(http.StatusOK)
+			_ = json.NewEncoder(w).Encode(Event{Type: EventDone, Done: &DoneInfo{
+				Target:      target.Name(),
+				StaticClean: true,
+			}})
+			s.metrics.completed.Add(1)
+			return
+		}
+		opts.StaticFacts = facts
 	}
 
 	release, degraded, err := s.dispatch.admit(ctx, tenant)
@@ -590,7 +587,6 @@ func (s *Server) optionsFor(req *Request) core.Options {
 		if ro.Seed != nil {
 			opts.Seed, opts.SeedSet = *ro.Seed, true
 		}
-		opts.NoStaticPrune = ro.NoStaticPrune
 	}
 	return opts
 }

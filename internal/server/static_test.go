@@ -79,9 +79,8 @@ func scrapeMetrics(t *testing.T, base string) string {
 // TestStaticAdmission pins the service's static front door on one
 // server instance so the /metrics counters can be asserted exactly:
 // a certain-fault program is rejected with 422 and its lint findings;
-// a statically race-free program is answered with a staticClean done
-// event without occupying an analysis slot; and noStaticPrune forces
-// the full dynamic path for both.
+// and a statically race-free program is answered with a staticClean
+// done event without occupying an analysis slot.
 func TestStaticAdmission(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
@@ -134,31 +133,6 @@ func TestStaticAdmission(t *testing.T) {
 		}
 	})
 
-	t.Run("no-static-prune-forces-dynamic", func(t *testing.T) {
-		// The same two programs with the ablation flag take the full
-		// dynamic path: the clean one runs (empty verdict stream, no
-		// StaticClean marker) and the faulty one is admitted rather than
-		// rejected.
-		done, err := c.Analyze(context.Background(), Request{Source: cleanSource, Name: "clean",
-			Options: &RequestOptions{NoStaticPrune: true}}, nil)
-		if err != nil {
-			t.Fatalf("analyze clean: %v", err)
-		}
-		if done.StaticClean {
-			t.Errorf("noStaticPrune run still marked StaticClean: %+v", done)
-		}
-		if done.Verdicts != 0 {
-			t.Errorf("race-free program produced verdicts dynamically: %+v", done)
-		}
-
-		resp := postAnalyze(t, ts.URL, Request{Source: faultySource, Name: "faulty",
-			Options: &RequestOptions{NoStaticPrune: true}})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("noStaticPrune faulty submission: status %d, want 200 (dynamic run)", resp.StatusCode)
-		}
-	})
-
 	t.Run("metrics", func(t *testing.T) {
 		body := scrapeMetrics(t, ts.URL)
 		for _, want := range []string{
@@ -195,5 +169,27 @@ func TestStaticFactsCachedOnTier(t *testing.T) {
 	n, _, _, _ := s.tiers.snapshot()
 	if n != 1 {
 		t.Errorf("tiers = %d, want 1", n)
+	}
+}
+
+// TestLegacyNoStaticPruneIgnored pins the compatibility promise to
+// clients that still send the removed options.noStaticPrune field: the
+// decoder skips it and static admission runs as on any other request.
+func TestLegacyNoStaticPruneIgnored(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+
+	src, err := json.Marshal(faultySource)
+	if err != nil {
+		t.Fatalf("marshal source: %v", err)
+	}
+	body := `{"source":` + string(src) + `,"name":"faulty","options":{"noStaticPrune":true}}`
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 from static admission", resp.StatusCode)
 	}
 }

@@ -34,12 +34,6 @@ type fingerprint struct {
 	RunBudget, EnforceBudget int64
 	Seed                     uint64
 	SeedSet                  bool
-
-	// NoStaticPrune is keyed even though verdicts are byte-identical with
-	// pruning on or off: the two modes deposit checkpoints at different
-	// points (pruning adds candidate-site deposits during detection), so
-	// separating the tiers keeps each mode's warmth self-consistent.
-	NoStaticPrune bool
 }
 
 // keyFor derives the tier key for a request resolved to effective
@@ -63,7 +57,6 @@ func keyFor(req *Request, opts core.Options) tierKey {
 		EnforceBudget: opts.EnforceBudget,
 		Seed:          opts.Seed,
 		SeedSet:       opts.SeedSet,
-		NoStaticPrune: opts.NoStaticPrune,
 	}
 	b, err := json.Marshal(fp)
 	if err != nil {

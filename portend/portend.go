@@ -122,17 +122,6 @@ func WithCaching(enabled bool) Option {
 	return func(o *core.Options) { o.NoCache = !enabled }
 }
 
-// WithStaticAnalysis toggles the static pre-analysis consumers: the
-// verdict-preserving schedule prune of the multi-path exploration
-// (worklist items that provably cannot reach the racy object or any
-// symbolic branch are skipped) and the extra detection-phase checkpoints
-// at static race-candidate sites. It is on by default; verdicts are
-// byte-identical either way (the static determinism suite asserts it),
-// so disabling it is only useful for ablation timing.
-func WithStaticAnalysis(enabled bool) Option {
-	return func(o *core.Options) { o.NoStaticPrune = !enabled }
-}
-
 // Features are the technique gates of the paper's Fig 7 ablation.
 type Features struct {
 	// AdHocDetection classifies unenforceable alternates as ad-hoc

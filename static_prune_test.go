@@ -12,20 +12,6 @@ import (
 	"repro/internal/workloads/corpus"
 )
 
-// pruneSuite is every target the prune contract is pinned on: the
-// built-in workloads plus the two synthetic static-prune shapes, whose
-// nested tainted guards mint the bypass siblings the prune exists to
-// skip (the built-ins keep the prune honest on programs where it can
-// prove little or nothing).
-func pruneSuite() []*workloads.Workload {
-	suite := append([]*workloads.Workload{}, workloads.All()...)
-	suite = append(suite,
-		&workloads.Workload{Name: "static-prune-deep", Source: workloads.StaticPruneSource(4, 1, 0), Inputs: []int64{100}},
-		&workloads.Workload{Name: "static-prune-wide", Source: workloads.StaticPruneSource(3, 2, 0), Inputs: []int64{100}},
-	)
-	return suite
-}
-
 // TestStaticArtifactDeterminism pins the sa.Facts artifact bytes:
 // analyzing any workload or curated corpus program repeatedly — and
 // from 8 goroutines at once — yields the identical encoded artifact.
@@ -38,7 +24,7 @@ func TestStaticArtifactDeterminism(t *testing.T) {
 		p    *bytecode.Program
 	}
 	var progs []prog
-	for _, w := range pruneSuite() {
+	for _, w := range workloadSuite() {
 		progs = append(progs, prog{"workload/" + w.Name, w.Compile()})
 	}
 	for _, cp := range corpus.Curated() {
@@ -87,41 +73,38 @@ func runWithPrune(p *bytecode.Program, w *workloads.Workload, parallel int, prun
 	return renderResult(p, res), pruned, ran
 }
 
-// TestStaticPruneVerdictIdentity is the prune's HARD contract: for
-// every workload (built-in and synthetic) and every curated corpus
-// program, verdicts and reports are byte-identical with the static
-// prune on and off, at pool widths 1 and 8. The prune may only skip
-// worklist items the static analysis proves can neither reach the racy
-// object nor fork — items whose completed runs are discarded anyway —
-// so nothing user-visible may move.
+// TestStaticPruneVerdictIdentity is the prune's HARD contract, run as
+// the ablation matrix's prune-off arms: for every workload (built-in
+// and synthetic) and every curated corpus program, verdicts and reports
+// are byte-identical with the static prune on and off. The prune may
+// only skip worklist items the static analysis proves can neither reach
+// the racy object nor fork — items whose completed runs are discarded
+// anyway — so nothing user-visible may move. TestParallelDeterminism
+// and TestCorpusDeterminism run the same arms as part of the full
+// matrix.
 func TestStaticPruneVerdictIdentity(t *testing.T) {
+	var arms []ablationArm
+	for _, arm := range ablationArms {
+		if arm.noPrune {
+			arms = append(arms, arm)
+		}
+	}
 	type target struct {
 		name string
-		p    *bytecode.Program
 		w    *workloads.Workload
 	}
 	var targets []target
-	for _, w := range pruneSuite() {
-		targets = append(targets, target{"workload/" + w.Name, w.Compile(), w})
+	for _, w := range workloadSuite() {
+		targets = append(targets, target{"workload/" + w.Name, w})
 	}
 	for _, cp := range corpus.Curated() {
-		targets = append(targets, target{"corpus/" + cp.Name, cp.Compile(),
-			&workloads.Workload{Name: cp.Name, Args: cp.Args, Inputs: cp.Inputs}})
+		targets = append(targets, target{"corpus/" + cp.Name, cp.Workload})
 	}
 	for _, tg := range targets {
 		tg := tg
 		t.Run(tg.name, func(t *testing.T) {
 			t.Parallel()
-			want, _, _ := runWithPrune(tg.p, tg.w, 1, false)
-			for _, parallel := range []int{1, 8} {
-				for _, prune := range []bool{false, true} {
-					got, _, _ := runWithPrune(tg.p, tg.w, parallel, prune)
-					if got != want {
-						t.Errorf("verdicts differ at parallel=%d prune=%v\n--- want (parallel=1 prune=off) ---\n%s\n--- got ---\n%s",
-							parallel, prune, want, got)
-					}
-				}
-			}
+			checkArms(t, tg.w, core.DefaultOptions(), arms)
 		})
 	}
 }

@@ -171,9 +171,9 @@ type Options struct {
 	NoStaticPrune bool
 
 	// StaticFacts supplies a precomputed static-analysis artifact for the
-	// exact program under analysis (e.g. the server's admission-time facts
-	// cached on its tier). nil lets RunStream run the pass itself unless
-	// NoStaticPrune is set.
+	// exact program under analysis (e.g. the facts the server's admission
+	// computed on the same compiled program). nil lets RunStream run the
+	// pass itself unless NoStaticPrune is set.
 	StaticFacts *sa.Facts
 
 	// Feature gates (Fig 7): ad-hoc synchronization detection, multi-path

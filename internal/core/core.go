@@ -99,11 +99,12 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 		}
 	}
 	// Static pre-analysis: run the internal/sa pass once per run (unless
-	// the caller supplied cached facts, e.g. the server's admission-time
-	// artifact) and thread the facts through every classifier's multi-path
-	// prune. Like the caches, the prune only shifts work, never verdicts —
-	// the determinism suites' ablation matrix asserts byte-identical
-	// verdicts with NoStaticPrune on and off.
+	// the caller supplied precomputed facts, e.g. the server's
+	// admission-time artifact) and thread the facts through every
+	// classifier's multi-path prune. Like the caches, the prune only
+	// shifts work, never verdicts — the determinism suites' ablation
+	// matrix asserts byte-identical verdicts with NoStaticPrune on and
+	// off.
 	if !inner.NoStaticPrune && inner.StaticFacts == nil {
 		inner.StaticFacts = sa.Analyze(p)
 	}
@@ -351,24 +352,6 @@ func WhatIfCtx(ctx context.Context, src, name string, elideLines []int, args, in
 		}
 	}
 	return w, nil
-}
-
-// HarmfulnessRank orders classes by triage priority: specViol first, then
-// outDiff, then k-witness, then singleOrd — the order in which a
-// developer should inspect them (§1: "developers ... can fix the critical
-// bugs first").
-func HarmfulnessRank(c Class) int {
-	switch c {
-	case SpecViolated:
-		return 0
-	case OutputDiffers:
-		return 1
-	case KWitnessHarmless:
-		return 2
-	case SingleOrdering:
-		return 3
-	}
-	return 4
 }
 
 // verify interface compliance at compile time.

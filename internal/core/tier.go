@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/sa"
-)
+import "sync"
 
 // CacheTier is a run-outliving handle on the engine's reuse machinery —
 // the concrete and symbolic checkpoint stores and the memoizing solver
@@ -40,27 +36,6 @@ type CacheTier struct {
 	// first run on the tier re-binds them from its effective options —
 	// see bindPredicates.
 	pendingPreds []pendingPred
-
-	// facts caches the submission's static-analysis artifact. A tier is
-	// keyed by the identical submission and the pass is a pure function
-	// of the compiled program, so the first run's facts serve every later
-	// one. factsSet distinguishes "computed nil" (an unresolvable target
-	// — equally deterministic) from "not yet computed".
-	facts    *sa.Facts
-	factsSet bool
-}
-
-// StaticFacts returns the tier's cached static-analysis artifact,
-// computing it via compute on first call. A nil compute result is cached
-// too: target resolution failures repeat identically, and the dynamic
-// path reports them with full context.
-func (t *CacheTier) StaticFacts(compute func() *sa.Facts) *sa.Facts {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.factsSet {
-		t.facts, t.factsSet = compute(), true
-	}
-	return t.facts
 }
 
 // NewCacheTier builds an empty tier: each checkpoint store holds up to

@@ -15,33 +15,26 @@
 package explore
 
 import (
-	"sync/atomic"
-
 	"repro/internal/bytecode"
 	"repro/internal/expr"
-	"repro/internal/sched"
 	"repro/internal/solver"
 	"repro/internal/vm"
 )
 
-// Engine drives forking executions.
-//
-// An Engine is safe for concurrent RunForking calls: the fork budget is
-// a shared atomic counter, so workers exploring different paths of the
-// same race draw from one pool of forks rather than each getting their
-// own copy of the budget.
+// Engine drives forking executions. It is not safe for concurrent use:
+// one engine explores one race's paths on one goroutine.
 type Engine struct {
 	Solver *solver.Solver
 
 	// MaxForks bounds the total number of sibling states produced by this
 	// engine across all RunForking calls (the paper's knob on the number
 	// of paths explored, §3.3).
-	MaxForks int
-	forks    *sched.Counter
+	MaxForks  int
+	forksLeft int
 
 	// branches counts symbolic branch decisions encountered; it is the
 	// "# dependent branches" axis of Fig 9.
-	branches atomic.Int64
+	branches int
 }
 
 // NewEngine returns an engine with the given solver and fork budget.
@@ -49,11 +42,11 @@ func NewEngine(s *solver.Solver, maxForks int) *Engine {
 	if maxForks <= 0 {
 		maxForks = 64
 	}
-	return &Engine{Solver: s, MaxForks: maxForks, forks: sched.NewCounter(maxForks)}
+	return &Engine{Solver: s, MaxForks: maxForks, forksLeft: maxForks}
 }
 
 // ForksLeft returns the remaining fork budget.
-func (e *Engine) ForksLeft() int { return e.forks.Remaining() }
+func (e *Engine) ForksLeft() int { return e.forksLeft }
 
 // Seed pre-charges a fresh engine with exploration a resumed mainline's
 // skipped prefix already performed: branch decisions counted and
@@ -64,16 +57,16 @@ func (e *Engine) ForksLeft() int { return e.forks.Remaining() }
 // cap-bound verdicts would depend on whether a checkpoint was available.
 func (e *Engine) Seed(branches, forksUsed int) {
 	if branches > 0 {
-		e.branches.Add(int64(branches))
+		e.branches += branches
 	}
-	for i := 0; i < forksUsed; i++ {
-		e.forks.TryAcquire()
+	if forksUsed > 0 {
+		e.forksLeft -= min(forksUsed, e.forksLeft)
 	}
 }
 
 // Branches returns the number of symbolic branch decisions encountered
 // so far across all RunForking calls.
-func (e *Engine) Branches() int { return int(e.branches.Load()) }
+func (e *Engine) Branches() int { return e.branches }
 
 // forkCandidate inspects the instruction the current thread is about to
 // execute and returns the (normalized, 0/1) branch condition if it is a
@@ -138,9 +131,9 @@ func (e *Engine) RunForking(m *vm.Machine, budget int64, onFork func(sib *vm.Sta
 		tid := st.Cur
 		cond, ok := forkCandidate(st, tid, forkInstr)
 		if ok {
-			e.branches.Add(1)
+			e.branches++
 			taken, err := st.HintEval(cond)
-			if err == nil && e.forks.Remaining() > 0 && onFork != nil {
+			if err == nil && e.forksLeft > 0 && onFork != nil {
 				neg := expr.LNot(cond)
 				if taken == 0 {
 					neg = cond
@@ -149,7 +142,8 @@ func (e *Engine) RunForking(m *vm.Machine, budget int64, onFork func(sib *vm.Sta
 				q = append(q, st.PathCond...)
 				q = append(q, neg)
 				model, sat := e.Solver.Solve(q, st.Hints)
-				if sat == solver.Sat && e.forks.TryAcquire() {
+				if sat == solver.Sat {
+					e.forksLeft--
 					sib := st.Clone()
 					for name, v := range model {
 						sib.SetHint(name, v)

@@ -152,19 +152,10 @@ func (d *Detector) Reports() []*Report {
 	return out
 }
 
-// TotalInstances sums dynamic race occurrences across all distinct races.
-func (d *Detector) TotalInstances() int {
-	n := 0
-	for _, r := range d.clusters {
-		n += r.Instances
-	}
-	return n
-}
-
 // own deep-copies the tables if they are still shared with another
-// detector. Every mutating entry point calls it first; read-only methods
-// (Reports, TotalInstances) never do, so an unmutated clone chain shares
-// one set of tables end to end.
+// detector. Every mutating entry point calls it first; the read-only
+// Reports never does, so an unmutated clone chain shares one set of
+// tables end to end.
 func (d *Detector) own() {
 	if atomic.LoadUint32(&d.shared) == 0 {
 		return

@@ -1,7 +1,6 @@
 // Package sched provides the scheduling primitives behind Portend's
 // parallel exploration and classification engine: a bounded worker pool
-// that fans indexed work items out across goroutines, and a shared
-// budget counter safe for concurrent use.
+// that fans indexed work items out across goroutines.
 //
 // The per-race analysis of §3.3–§3.4 is embarrassingly parallel — each
 // (race, primary path, alternate schedule) triple is an independent
@@ -71,45 +70,3 @@ func Map(workers, n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-// Counter is a shared consumable budget (e.g. the fork budget of the
-// multi-path exploration engine): workers TryAcquire units until the
-// limit is exhausted. The zero value is an empty budget; use NewCounter.
-type Counter struct {
-	limit int64
-	used  atomic.Int64
-}
-
-// NewCounter returns a counter with the given number of units.
-func NewCounter(limit int) *Counter {
-	return &Counter{limit: int64(limit)}
-}
-
-// TryAcquire consumes one unit, reporting false when the budget is
-// already exhausted. It is safe for concurrent use.
-func (c *Counter) TryAcquire() bool {
-	for {
-		u := c.used.Load()
-		if u >= c.limit {
-			return false
-		}
-		if c.used.CompareAndSwap(u, u+1) {
-			return true
-		}
-	}
-}
-
-// Used returns how many units have been consumed.
-func (c *Counter) Used() int { return int(c.used.Load()) }
-
-// Remaining returns how many units are left.
-func (c *Counter) Remaining() int {
-	r := int(c.limit - c.used.Load())
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// Limit returns the counter's total budget.
-func (c *Counter) Limit() int { return int(c.limit) }

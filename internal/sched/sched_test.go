@@ -43,32 +43,3 @@ func TestMapSequentialRunsInOrder(t *testing.T) {
 func TestMapEmpty(t *testing.T) {
 	Map(4, 0, func(i int) { t.Fatal("fn called for empty Map") })
 }
-
-func TestCounter(t *testing.T) {
-	c := NewCounter(3)
-	for i := 0; i < 3; i++ {
-		if !c.TryAcquire() {
-			t.Fatalf("acquire %d failed", i)
-		}
-	}
-	if c.TryAcquire() {
-		t.Fatal("acquire beyond limit succeeded")
-	}
-	if c.Used() != 3 || c.Remaining() != 0 || c.Limit() != 3 {
-		t.Fatalf("used=%d remaining=%d limit=%d", c.Used(), c.Remaining(), c.Limit())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	const limit, attempts = 100, 1000
-	c := NewCounter(limit)
-	var got atomic.Int64
-	Map(8, attempts, func(int) {
-		if c.TryAcquire() {
-			got.Add(1)
-		}
-	})
-	if got.Load() != limit {
-		t.Fatalf("concurrent acquires = %d, want %d", got.Load(), limit)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -178,6 +179,63 @@ func TestCorruptTierQuarantined(t *testing.T) {
 	// The cold rerun reflushed a good file under the live name.
 	if got := tierFiles(t, dir); len(got) != 1 {
 		t.Errorf("live tier files after recovery = %v, want 1", got)
+	}
+}
+
+// TestShedRequestTouchesNoTier pins that a shed request never reaches
+// the tier registry or the data dir: with the one slot held and the
+// tenant queue at its hard depth, a submission whose tier file an
+// earlier daemon wrote gets 429 without a tier being created, restored
+// or evicted.
+func TestShedRequestTouchesNoTier(t *testing.T) {
+	dir := t.TempDir()
+	shed := Request{Workload: "rw", Options: &RequestOptions{Parallel: 1}}
+
+	s1 := New(Config{DataDir: dir})
+	ts1 := httptest.NewServer(s1.Handler())
+	remoteVerdicts(t, &Client{Base: ts1.URL}, shed)
+	ts1.Close()
+	if files := tierFiles(t, dir); len(files) != 1 {
+		t.Fatalf("tier files = %v, want exactly 1", files)
+	}
+
+	s := New(Config{DataDir: dir, Slots: 1, QueueSoft: 1, QueueHard: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	c := &Client{Base: ts.URL, Tenant: "t"}
+
+	cancel, exited := startSlow(t, s, c, "t")
+	defer func() { cancel(); <-exited }()
+
+	// Fill the queue (depth 1 = hard bound) with another submission.
+	qctx, qcancel := context.WithCancel(context.Background())
+	queuedExited := make(chan struct{})
+	go func() {
+		defer close(queuedExited)
+		_, _ = c.Analyze(qctx, Request{Workload: "sqlite"}, nil)
+	}()
+	defer func() { qcancel(); <-queuedExited }()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.dispatch.depths()["t"] == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("second request never queued")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	tierMetrics := func() [3]string {
+		return [3]string{
+			metricValue(t, ts.URL, "portend_tiers"),
+			metricValue(t, ts.URL, "portend_tier_restores_total"),
+			metricValue(t, ts.URL, "portend_tier_evictions_total"),
+		}
+	}
+	before := tierMetrics()
+	if _, err := c.Analyze(context.Background(), shed, nil); !errors.As(err, new(*OverloadedError)) {
+		t.Fatalf("want *OverloadedError, got %v", err)
+	}
+	if after := tierMetrics(); after != before {
+		t.Errorf("shed request moved tiers/restores/evictions: %v -> %v", before, after)
 	}
 }
 

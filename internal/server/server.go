@@ -16,7 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dstore"
 	"repro/internal/fault"
-	"repro/internal/sa"
 	"repro/portend"
 )
 
@@ -117,7 +116,6 @@ type Server struct {
 	metrics  metrics
 
 	store    *dstore.Dir  // nil = in-memory tiers only
-	ready    atomic.Bool  // startup tier-index scan finished
 	draining atomic.Bool  // Drain called; no new work admitted
 	inflight atomic.Int64 // requests inside handleAnalyze
 }
@@ -146,14 +144,13 @@ func New(cfg Config) *Server {
 			}
 		}
 	}
-	s.ready.Store(true)
 	return s
 }
 
 // Handler returns the service's HTTP routes: POST /v1/analyze (NDJSON
 // verdict stream), GET /metrics (Prometheus text), GET /healthz (pure
 // liveness — 200 for as long as the process serves), GET /readyz
-// (readiness — 503 before the startup tier scan and while draining).
+// (readiness — 503 while draining).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
@@ -164,16 +161,12 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		switch {
-		case s.draining.Load():
+		if s.draining.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, `{"status":"draining"}`)
-		case !s.ready.Load():
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, `{"status":"starting"}`)
-		default:
-			fmt.Fprintln(w, `{"status":"ready"}`)
+			return
 		}
+		fmt.Fprintln(w, `{"status":"ready"}`)
 	})
 	return mux
 }
@@ -320,24 +313,18 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Static admission (before taking a slot): fetch the submission's
-	// static-analysis facts from its tier — computed once per tier, a
-	// pure function of the program — and short-circuit the two cases a
-	// dynamic run cannot improve on. A program with an error-severity
-	// lint faults on every execution of the flagged site: reject it with
-	// the diagnostics instead of burning a slot reproducing the fault. A
-	// statically race-free program cannot yield a single race report:
-	// answer the empty verdict stream immediately. Target-resolution
-	// failures leave facts nil and fall through so the dynamic path
-	// reports them exactly as before.
-	facts := s.tierFor(keyFor(&req, opts)).StaticFacts(func() *sa.Facts {
-		lr, err := portend.Lint(target)
-		if err != nil {
-			return nil
-		}
-		return lr.Facts()
-	})
-	if facts != nil {
+	// Static admission (before taking a slot or touching a tier): resolve
+	// the submission once — one compile plus its static-analysis facts —
+	// and short-circuit the two cases a dynamic run cannot improve on. A
+	// program with an error-severity lint faults on every execution of
+	// the flagged site: reject it with the diagnostics instead of burning
+	// a slot reproducing the fault. A statically race-free program cannot
+	// yield a single race report: answer the empty verdict stream
+	// immediately. Otherwise the admitted run analyzes the program
+	// compiled here, with these facts. Target-resolution failures fall
+	// through so the dynamic path reports them exactly as before.
+	if lr, err := portend.Lint(target); err == nil {
+		facts := lr.Facts()
 		if bad := facts.ErrorLints(); len(bad) > 0 {
 			s.metrics.lintRejections.Add(1)
 			body := ErrorBody{Error: "static analysis: program faults on every execution of the flagged synchronization"}
@@ -361,6 +348,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			s.metrics.completed.Add(1)
 			return
 		}
+		target = lr.Compiled()
 		opts.StaticFacts = facts
 	}
 

@@ -147,10 +147,10 @@ func TestStaticAdmission(t *testing.T) {
 	})
 }
 
-// TestStaticFactsCachedOnTier pins that admission computes the static
-// artifact once per tier: a repeat submission reuses the cached facts
-// rather than re-linting.
-func TestStaticFactsCachedOnTier(t *testing.T) {
+// TestStaticAnswersTouchNoTier pins that static admission answers before
+// the tier registry is consulted: two 422 rejections of one submission
+// and a staticClean answer leave no cache tier behind.
+func TestStaticAnswersTouchNoTier(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -162,13 +162,19 @@ func TestStaticFactsCachedOnTier(t *testing.T) {
 			t.Fatalf("round %d: status %d, want 422", i, resp.StatusCode)
 		}
 	}
+	done, err := (&Client{Base: ts.URL}).Analyze(context.Background(),
+		Request{Source: cleanSource, Name: "clean"}, nil)
+	if err != nil {
+		t.Fatalf("analyze clean: %v", err)
+	}
+	if !done.StaticClean {
+		t.Fatalf("clean submission not answered staticClean: %+v", done)
+	}
 	if got := s.metrics.lintRejections.Load(); got != 2 {
 		t.Errorf("lintRejections = %d, want 2", got)
 	}
-	// Exactly one tier exists for the submission and it holds the facts.
-	n, _, _, _ := s.tiers.snapshot()
-	if n != 1 {
-		t.Errorf("tiers = %d, want 1", n)
+	if n, _, _, _ := s.tiers.snapshot(); n != 0 {
+		t.Errorf("tiers = %d after static answers only, want 0", n)
 	}
 }
 

@@ -100,18 +100,13 @@ type Solver struct {
 	// answer).
 	Cache *Cache
 
-	queries    atomic.Int64
-	nodesTotal atomic.Int64
-	cacheHits  atomic.Int64
+	queries   atomic.Int64
+	cacheHits atomic.Int64
 }
 
 // Queries returns the number of Solve calls answered so far (Table 4
 // style instrumentation).
 func (s *Solver) Queries() int { return int(s.queries.Load()) }
-
-// NodesTotal returns the total number of search-tree nodes visited
-// across all queries.
-func (s *Solver) NodesTotal() int { return int(s.nodesTotal.Load()) }
 
 // CacheHits returns how many of this solver's queries were answered from
 // the attached Cache. The counter is per-solver even when the cache is
@@ -586,7 +581,6 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		return false
 	}
 	found := search(0)
-	s.nodesTotal.Add(int64(nodes))
 	if found {
 		// Return a copy so callers may retain it.
 		model := make(expr.Assignment, len(env))

@@ -8,9 +8,8 @@ import (
 )
 
 // Controller decides which thread runs next at each scheduling point.
-// Scheduling points are synchronization operations, thread blocking/exit,
-// and (when Machine.PreemptAccesses is set) shared memory accesses —
-// mirroring the paper's preemption-point discipline (§3.1).
+// Scheduling points are synchronization operations and thread
+// blocking/exit — the paper's preemption-point discipline (§3.1).
 type Controller interface {
 	// PickNext returns the id of the next thread to run; runnable is
 	// non-empty and sorted by thread id.
@@ -67,11 +66,6 @@ type Machine struct {
 	Ctl    Controller
 	Policy BranchPolicy
 	Break  BreakFunc
-
-	// PreemptAccesses makes shared memory accesses scheduling points too
-	// (the paper: "can also preempt threads before and after any racing
-	// memory access").
-	PreemptAccesses bool
 
 	// SpinTrack enables the loop diagnosis used on alternate-enforcement
 	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). While it
@@ -150,8 +144,8 @@ const interruptStride = 256
 // enforcement, and multi-path exploration step goes through it. Two
 // structural optimizations keep it lean: the scheduler is consulted (and
 // the runnable set rebuilt) only at actual scheduling points — sync
-// operations, a blocked/exited current thread, or (with PreemptAccesses)
-// shared accesses — instead of before every instruction; and straight-
+// operations and a blocked/exited current thread — instead of before
+// every instruction; and straight-
 // line local arithmetic executes through the program's superinstruction
 // overlay (bytecode fusion pass), one dispatch per fused sequence with
 // instruction counters advanced by the full covered length, so traces,
@@ -224,9 +218,9 @@ func (m *Machine) run(budget int64) RunResult {
 			steps += skipped
 		}
 
-		// Scheduling decision before sync ops / (optionally) shared
-		// accesses, unless the controller just picked this very point.
-		if in.Op.IsSyncOp() || (m.PreemptAccesses && in.Op.IsSharedAccess()) {
+		// Scheduling decision before sync ops, unless the controller just
+		// picked this very point.
+		if in.Op.IsSyncOp() {
 			if !(m.skipTID == cur && m.skipInstr == th.Instrs) {
 				m.scratch = st.AppendRunnableTIDs(m.scratch[:0])
 				m.pick(m.scratch)

@@ -648,12 +648,6 @@ func (st *State) IsSuspended(tid int) bool {
 	return tid >= 0 && tid < len(st.Suspended) && st.Suspended[tid]
 }
 
-// RunnableTIDs returns the schedulable threads in id order, excluding
-// suspended ones.
-func (st *State) RunnableTIDs() []int {
-	return st.AppendRunnableTIDs(nil)
-}
-
 // AppendRunnableTIDs appends the schedulable thread ids (in id order,
 // excluding suspended threads) to buf and returns it. The interpreter
 // loop calls this with a reused scratch buffer so scheduling points do
@@ -871,14 +865,6 @@ func (st *State) MemoryFingerprint() string {
 		}
 	}
 	return b.String()
-}
-
-// OutputTail returns outputs recorded at index from onward.
-func (st *State) OutputTail(from int) []Output {
-	if from >= len(st.Outputs) {
-		return nil
-	}
-	return st.Outputs[from:]
 }
 
 // RenderOutputs renders all outputs, one line per record; values that are

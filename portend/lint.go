@@ -41,7 +41,8 @@ type LintReport struct {
 
 	Findings []LintFinding `json:"findings,omitempty"`
 
-	facts *sa.Facts
+	facts    *sa.Facts
+	compiled Target
 }
 
 // HasErrors reports whether any error-severity finding fired — a
@@ -71,6 +72,11 @@ func (r *LintReport) Artifact() []byte { return r.facts.Encode() }
 // internal package and carries no stability promise.
 func (r *LintReport) Facts() *sa.Facts { return r.facts }
 
+// Compiled returns the linted target as a compiled one: analyzing it
+// runs the program this report analyzed, with the target's arguments,
+// inputs and workload predicates, without parsing or compiling again.
+func (r *LintReport) Compiled() Target { return r.compiled }
+
 // Lint runs the static pre-analysis on a target without executing it:
 // per-function control flow, interprocedural locksets, may-happen-in-
 // parallel from the spawn structure, and shared-object escape analysis.
@@ -90,6 +96,8 @@ func Lint(t Target) (*LintReport, error) {
 		RaceFreeObjects: facts.RaceFreeObjects,
 		EscapingObjects: facts.EscapingObjects,
 		facts:           facts,
+		compiled: Target{kind: targetCompiled, name: r.name, prog: r.prog,
+			args: r.args, inputs: r.inputs, preds: r.preds},
 	}
 	for _, l := range facts.Lints {
 		rep.Findings = append(rep.Findings, LintFinding{

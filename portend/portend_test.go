@@ -191,6 +191,11 @@ func TestReportJSON(t *testing.T) {
 }
 
 func TestTriageAndByClass(t *testing.T) {
+	if !(portend.SpecViolated.Rank() < portend.OutputDiffers.Rank() &&
+		portend.OutputDiffers.Rank() < portend.KWitnessHarmless.Rank() &&
+		portend.KWitnessHarmless.Rank() < portend.SingleOrdering.Rank()) {
+		t.Fatal("harmfulness ranking wrong")
+	}
 	a := portend.New()
 	rep, err := a.AnalyzeAll(context.Background(), portend.Source("two-race", twoRaceSrc))
 	if err != nil {

@@ -26,6 +26,7 @@ type Target struct {
 	args, inputs       []int64
 	argsSet, inputsSet bool
 	whatIfLines        []int
+	preds              []core.Predicate // compiled targets only (see LintReport.Compiled)
 }
 
 type targetKind uint8
@@ -126,7 +127,7 @@ func (t Target) resolve() (*resolved, error) {
 		if t.prog == nil {
 			return nil, fmt.Errorf("%w: Compiled target has nil program", ErrBadTarget)
 		}
-		r.prog = t.prog
+		r.prog, r.preds = t.prog, t.preds
 		return r, nil
 
 	case targetWorkload:

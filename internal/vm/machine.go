@@ -72,7 +72,8 @@ type Machine struct {
 	// is on, the superinstruction fast path is disabled so the per-
 	// instruction tick window of the diagnosis stays exactly as in
 	// unfused execution, and Run fast-forwards provably periodic
-	// stretches (period.go) with results identical to interpreting them.
+	// stretches (period.go), rebuilding the diagnosis windows from one
+	// recorded period, with results identical to interpreting them.
 	// That proof treats Break as a function of the configuration — the
 	// thread, instruction and state — never of Steps or Instrs. Only the
 	// diagnosis after a budget stop reads the tracking data, so turn it
@@ -168,10 +169,8 @@ func (m *Machine) run(budget int64) RunResult {
 	st := m.St
 	var steps int64
 	var tick int64
+	m.probe.reset()
 	probing := m.probeable(budget)
-	if probing {
-		m.probe.snap, m.probe.next, m.probe.horizon = nil, periodFirst, periodFirst
-	}
 	for {
 		if m.Interrupt != nil {
 			if tick%interruptStride == 0 && m.Interrupt() {
@@ -210,8 +209,9 @@ func (m *Machine) run(budget int64) RunResult {
 		pcref := bytecode.PCRef{Fn: fr.Fn, PC: fr.PC, Line: in.Line}
 
 		// Period probe (spin-tracked runs only, see period.go): on a
-		// proven recurrence of the whole configuration, fast-forward
-		// whole periods; the loop then interprets the tail as usual.
+		// proven recurrence of the whole configuration, fast-forward all
+		// whole periods but one; the loop interprets that one while the
+		// probe records it, then the remainder as usual.
 		if probing {
 			var skipped int64
 			skipped, probing = m.probePeriod(steps, budget, fr)

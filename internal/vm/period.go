@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"unsafe"
 
 	"repro/internal/expr"
@@ -20,20 +21,23 @@ import (
 // probe only ever sees stale (see skipFresh). The interpreter is a
 // deterministic function of that configuration, so when it recurs P
 // steps after a snapshot, every later stretch of P steps repeats the
-// same instructions on the same values. The run then adds k whole
-// periods arithmetically — Steps, each thread's Instrs, the spin ticks
-// and the interned-constant tally advance by k times their per-period
-// delta — and interprets the remaining tail for real. The tail is long
-// enough that every spin window DiagnoseSpin can read (the current one
-// and the one before it) is rebuilt from real execution, so the
-// RunResult, the final State, every thread's spin data and the Counters
-// equal those of the uninterrupted run.
+// same instructions on the same values. The run then adds all whole
+// periods but one arithmetically — Steps, each thread's Instrs, the spin
+// ticks and the interned-constant tally advance by k times their
+// per-period delta — and interprets the last whole period for real,
+// recording every thread's spin events (jump visits and shared reads,
+// each stamped with the thread's tick). When that period ends, both spin
+// windows DiagnoseSpin can read (the current one and the one before it)
+// are rebuilt from the record: every tick they span repeats a recorded
+// tick of the same phase. The remainder, under one period, is
+// interpreted as usual. The RunResult, the final State, every thread's
+// spin data and the Counters equal those of the uninterrupted run.
 //
 // The probe runs only when the future provably depends on nothing
 // outside the configuration: a RoundRobin or Sticky controller, the
 // concolic branch policy, no observers, and a finite budget large enough
-// to leave room for the tail. Random-schedule runs, replays and
-// observer-carrying runs take the plain path.
+// for both windows to start after a snapshot. Random-schedule runs,
+// replays and observer-carrying runs take the plain path.
 
 const (
 	// periodFirst is the run step of the first configuration snapshot
@@ -44,10 +48,16 @@ const (
 	// doubling distances up to this one (Brent's cycle search), so any
 	// period up to it is found once the run has settled into it.
 	periodHorizon = 2 * spinWindow
-	// periodMinBudget is the smallest budget worth probing: the tail
-	// alone needs two spin windows per ticking thread.
+	// periodMinBudget is the smallest budget worth probing. A skip needs
+	// both rebuilt windows to start after the snapshot, so the ticking
+	// threads must tick up to two windows past it; a shorter budget
+	// rarely leaves room once the run has settled and a period is found.
 	periodMinBudget = 4 * spinWindow
 )
+
+// spinEvents pools the record buffers of the period after a skip: a
+// buffer per Machine would cost allocations on every enforcement.
+var spinEvents = sync.Pool{New: func() any { return new([]spinEvent) }}
 
 // periodSkip gates the period probe. It is always on in the program;
 // tests turn it off to interpret the same runs end to end.
@@ -78,7 +88,23 @@ type periodProbe struct {
 	steps   int64   // run steps
 	stSteps int64   // State.Steps (BARRIER also completes others')
 	intern  int64   // interned-constant tally
-	ticks   []int64 // per-thread spin ticks
+	ticks   []int64 // per-thread spin ticks; per-period deltas after a skip
+
+	// The period interpreted after a skip: its spin events (nil when not
+	// recording) and the run step at which it ends.
+	rec    *[]spinEvent
+	recEnd int64
+}
+
+// reset readies the probe for a new Run. Only cancellation can stop a
+// run inside its recorded period, leaving the windows unrebuilt, and
+// ClassifyCtx discards a cancelled run; its record is released here.
+func (p *periodProbe) reset() {
+	if p.rec != nil {
+		spinEvents.Put(p.rec)
+		p.rec = nil
+	}
+	p.snap, p.next, p.horizon = nil, periodFirst, periodFirst
 }
 
 // probeable reports whether this run's future is a function of the
@@ -125,6 +151,18 @@ func (m *Machine) skipFresh() bool {
 func (m *Machine) probePeriod(steps, budget int64, fr *Frame) (skipped int64, keep bool) {
 	p := &m.probe
 	st := m.St
+	if p.rec != nil {
+		// Recording the period after a skip. It ends at the first visit
+		// at its last step: no thread ticks between that visit and the
+		// recurrence, because an instruction that ticks without
+		// completing blocks its thread, and the pick that follows leaves
+		// the memo fresh, which a recurrence never is.
+		if steps < p.recEnd {
+			return 0, true
+		}
+		m.rebuildWindows()
+		return 0, false
+	}
 	if steps >= p.next {
 		if !m.skipFresh() {
 			m.snapshotConfig(steps, fr)
@@ -144,7 +182,8 @@ func (m *Machine) probePeriod(steps, budget int64, fr *Frame) (skipped int64, ke
 	if !same {
 		return 0, true
 	}
-	return m.skipPeriods(steps, budget), false
+	skipped = m.skipPeriods(steps, budget)
+	return skipped, skipped > 0
 }
 
 // snapshotConfig records the current configuration and schedules the
@@ -172,33 +211,31 @@ func (m *Machine) snapshotConfig(steps int64, fr *Frame) {
 	p.horizon = min(2*p.horizon, periodHorizon)
 }
 
-// skipPeriods fast-forwards whole periods after the configuration at
-// run step steps was found equal to the snapshot, leaving a tail of at
-// least two spin windows per ticking thread to interpret for real. It
-// returns the run steps skipped (0 when the budget leaves no room).
+// skipPeriods fast-forwards all whole periods but one after the
+// configuration at run step steps was found equal to the snapshot, and
+// starts recording the last one. It returns the run steps skipped: 0
+// when fewer than two whole periods remain, or when some ticking
+// thread's two windows at the end of the recorded period would reach
+// back to the snapshot or before it, where its ticks need not repeat.
 func (m *Machine) skipPeriods(steps, budget int64) int64 {
 	p := &m.probe
 	st := m.St
 	period := steps - p.steps
-	tail := int64(1) // periods left to interpret
-	// Turn p.ticks into per-period tick deltas in place (a thread that
-	// had not ticked yet at the snapshot counts from zero).
+	k := (budget-steps)/period - 1
+	if k <= 0 {
+		return 0
+	}
+	// A thread that had not ticked yet at the snapshot counts from zero.
 	for len(p.ticks) < len(m.spin) {
 		p.ticks = append(p.ticks, 0)
 	}
 	for tid, si := range m.spin {
-		var d int64
-		if si != nil {
-			d = si.ticks - p.ticks[tid]
+		if si == nil {
+			continue
 		}
-		p.ticks[tid] = d
-		if d > 0 {
-			tail = max(tail, (2*spinWindow+d-1)/d)
+		if d := si.ticks - p.ticks[tid]; d > 0 && firstWindowTick(si.ticks+(k+1)*d) <= p.ticks[tid] {
+			return 0
 		}
-	}
-	k := (budget-steps)/period - tail
-	if k <= 0 {
-		return 0
 	}
 	for i, t := range st.Threads {
 		if d := t.Instrs - p.snap.Threads[i].Instrs; d != 0 {
@@ -206,8 +243,10 @@ func (m *Machine) skipPeriods(steps, budget int64) int64 {
 		}
 	}
 	st.Steps += k * (st.Steps - p.stSteps)
+	// Turn p.ticks into per-period tick deltas in place.
 	for tid, si := range m.spin {
 		if si != nil {
+			p.ticks[tid] = si.ticks - p.ticks[tid]
 			si.ticks += k * p.ticks[tid]
 		}
 	}
@@ -215,7 +254,23 @@ func (m *Machine) skipPeriods(steps, budget int64) int64 {
 	m.internHits += k * (m.internHits - p.intern)
 	m.skippedSteps += k * period
 	p.snap = nil
+	p.rec = spinEvents.Get().(*[]spinEvent)
+	*p.rec = (*p.rec)[:0]
+	p.recEnd = steps + (k+1)*period
 	return k * period
+}
+
+// rebuildWindows ends the recorded period: it rebuilds both spin windows
+// of every thread that ticked in it and releases the record.
+func (m *Machine) rebuildWindows() {
+	p := &m.probe
+	for tid, si := range m.spin {
+		if si != nil && p.ticks[tid] > 0 {
+			si.rebuild(m.St.Prog, *p.rec, int32(tid), p.ticks[tid])
+		}
+	}
+	spinEvents.Put(p.rec)
+	p.rec = nil
 }
 
 // sameConfig reports whether a and b are the same machine configuration

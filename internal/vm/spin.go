@@ -42,7 +42,8 @@ type pcCounts struct {
 	touched []uint64 // packed fn<<32|pc of nonzero counters
 }
 
-func (c *pcCounts) inc(p *bytecode.Program, fn, pc int) {
+// add counts n visits of pc in fn (n > 0).
+func (c *pcCounts) add(p *bytecode.Program, fn, pc int, n int32) {
 	if c.funcs == nil {
 		c.funcs = make([][]int32, len(p.Funcs))
 		c.touched = make([]uint64, 0, 8)
@@ -55,7 +56,7 @@ func (c *pcCounts) inc(p *bytecode.Program, fn, pc int) {
 	if s[pc] == 0 {
 		c.touched = append(c.touched, uint64(uint32(fn))<<32|uint64(uint32(pc)))
 	}
-	s[pc]++
+	s[pc] += n
 }
 
 // reset zeroes the touched counters, keeping the slabs for reuse.
@@ -166,14 +167,104 @@ func (m *Machine) trackSpinPC(tid int, in bytecode.Instr, pc bytecode.PCRef) {
 	if in.Op != bytecode.JMP && in.Op != bytecode.JZ {
 		return
 	}
-	si.visits.inc(m.St.Prog, pc.Fn, pc.PC)
+	si.visits.add(m.St.Prog, pc.Fn, pc.PC, 1)
+	if r := m.probe.rec; r != nil {
+		*r = append(*r, spinEvent{tick: si.ticks, tid: int32(tid), fn: int32(pc.Fn), pc: int32(pc.PC)})
+	}
 }
 
 func (m *Machine) trackSpinRead(tid int, loc Loc) {
 	if !m.SpinTrack {
 		return
 	}
-	m.spinFor(tid).reads.add(loc)
+	si := m.spinFor(tid)
+	si.reads.add(loc)
+	if r := m.probe.rec; r != nil {
+		*r = append(*r, spinEvent{tick: si.ticks, tid: int32(tid), fn: -1, loc: loc})
+	}
+}
+
+// spinEvent is one event of the period the probe records after a skip
+// (period.go): a jump visit at fn/pc, or a shared read of loc when fn is
+// negative, stamped with its thread's tick.
+type spinEvent struct {
+	tick   int64
+	tid    int32
+	fn, pc int32
+	loc    Loc
+}
+
+// windowStart is the first tick of the spin window holding tick t.
+// Window j holds ticks [jW, (j+1)W), except that ticks count from 1, so
+// window 0 starts at tick 1.
+func windowStart(t int64) int64 { return max(1, t/spinWindow*spinWindow) }
+
+// firstWindowTick is the first tick of the oldest window DiagnoseSpin
+// can read once the thread has ticked t times: the previous window's,
+// or the current one's while none has rolled over.
+func firstWindowTick(t int64) int64 {
+	a := windowStart(t)
+	if a > 1 {
+		a = windowStart(a - 1)
+	}
+	return a
+}
+
+// rebuild refills both windows of thread tid, whose spin events repeat
+// every d ticks, from ev: the record of its last d ticks (si.ticks-d,
+// si.ticks], in tick order, possibly interleaved with other threads'
+// events. Every tick of both windows must lie in the periodic stretch
+// (the caller's guard), so each maps to the recorded tick of the same
+// phase.
+func (si *spinInfo) rebuild(p *bytecode.Program, ev []spinEvent, tid int32, d int64) {
+	base := si.ticks - d
+	a := windowStart(si.ticks)
+	si.visits.reset()
+	si.reads.reset()
+	fillWindow(&si.visits, &si.reads, p, ev, tid, base, d, a, si.ticks)
+	si.prevVisits.reset()
+	si.prevReads.reset()
+	if a > 1 {
+		fillWindow(&si.prevVisits, &si.prevReads, p, ev, tid, base, d, windowStart(a-1), a-1)
+	}
+}
+
+// fillWindow adds the window of ticks [a, b] to empty buffers c and s,
+// given tid's events ev over the ticks (base, base+d] of period d. A
+// window of n ticks holds q = n/d whole periods and the first n%d ticks
+// of one more, so each jump counts q visits, plus one if its offset from
+// the window's start phase falls inside that partial period, and the
+// read set is the union over min(n, d) ticks from that phase. Walking
+// the record from the start phase, wrapping once, also adds pcs and
+// locations in the order the window first touched them.
+func fillWindow(c *pcCounts, s *locSet, p *bytecode.Program, ev []spinEvent, tid int32, base, d, a, b int64) {
+	n := b - a + 1
+	q, rem, limit := n/d, n%d, min(n, d)
+	// start is the recorded tick in phase with a.
+	start := base + 1 + ((a-base-1)%d+d)%d
+	for _, wrapped := range [2]bool{false, true} {
+		for _, e := range ev {
+			if e.tid != tid || (e.tick < start) != wrapped {
+				continue
+			}
+			off := e.tick - start
+			if wrapped {
+				off += d
+			}
+			if off >= limit {
+				break
+			}
+			if e.fn < 0 {
+				s.add(e.loc)
+				continue
+			}
+			k := q
+			if off < rem {
+				k++
+			}
+			c.add(p, int(e.fn), int(e.pc), int32(k))
+		}
+	}
 }
 
 // spinLoopThreshold is the visit count above which a jump is considered

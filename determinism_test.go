@@ -94,6 +94,30 @@ func workloadSuite() []*workloads.Workload {
 	suite = append(suite,
 		&workloads.Workload{Name: "static-prune-deep", Source: workloads.StaticPruneSource(4, 1, 0), Inputs: []int64{100}},
 		&workloads.Workload{Name: "static-prune-wide", Source: workloads.StaticPruneSource(3, 2, 0), Inputs: []int64{100}},
+		// One write racing three earlier reads from two source lines: the
+		// detector must report the reads in ascending TID on every run.
+		&workloads.Workload{Name: "multi-reader", Source: `var x = 0
+fn rd() {
+  let a = x
+  print("a=", a)
+}
+fn rd2() {
+  let b = x
+  print("b=", b)
+}
+fn wr() {
+  x = 1
+}
+fn main() {
+  let t1 = spawn rd()
+  let t2 = spawn rd()
+  let t4 = spawn rd2()
+  let t3 = spawn wr()
+  join(t1)
+  join(t2)
+  join(t4)
+  join(t3)
+}`},
 	)
 	return suite
 }

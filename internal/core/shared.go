@@ -102,35 +102,31 @@ type counterKey struct {
 	line  int32
 }
 
-// objClass identifies an object class the way race reports do.
-type objClass struct {
-	space vm.Space
-	obj   int64
-}
-
 // accessCounter observes every shared memory access of a replay. It
 // subsumes the per-race read counter: reads are counted per (object
 // class, thread, line) for all objects at once, so the counts for any
 // race can be projected out afterwards — which is what makes a replay
 // state (and its checkpoint snapshots) reusable across races. It also
 // records which object classes have been touched at all (reads or
-// writes); a checkpoint is a safe multi-path resume point for a race
-// only if its prefix never touched the racy object.
-// Cloning is copy-on-write: CloneObs shares the maps and marks both
-// sides shared, and the first access on either side copies them (own) —
-// checkpoint deposits of replay states clone this observer constantly
-// and read it rarely.
+// writes): one bit per global id, plus one flag for the heap (all heap
+// objects are one class). A checkpoint is a safe multi-path resume
+// point for a race only if its prefix never touched the racy object.
+// Cloning is copy-on-write: CloneObs shares the tables and marks both
+// sides shared, and the first access on either side that changes them
+// — a read, or a first touch — copies them (own). Checkpoint deposits
+// of replay states clone this observer constantly and read it rarely.
 type accessCounter struct {
 	reads   map[counterKey]int
-	touched map[objClass]bool
-	shared  uint32 // atomic; 1 while the maps may be shared with a clone
+	globals []uint64 // touched global ids, bit g%64 of word g/64
+	heap    bool     // some heap object was touched
+	shared  uint32   // atomic; 1 while the tables may be shared with a clone
 }
 
 func newAccessCounter() *accessCounter {
-	return &accessCounter{reads: map[counterKey]int{}, touched: map[objClass]bool{}}
+	return &accessCounter{reads: map[counterKey]int{}}
 }
 
-// own copies the maps if a clone may still reference them.
+// own copies the tables if a clone may still reference them.
 func (ac *accessCounter) own() {
 	if atomic.LoadUint32(&ac.shared) == 0 {
 		return
@@ -139,11 +135,8 @@ func (ac *accessCounter) own() {
 	for k, v := range ac.reads {
 		reads[k] = v
 	}
-	touched := make(map[objClass]bool, len(ac.touched))
-	for k, v := range ac.touched {
-		touched[k] = v
-	}
-	ac.reads, ac.touched = reads, touched
+	ac.reads = reads
+	ac.globals = append([]uint64(nil), ac.globals...)
 	atomic.StoreUint32(&ac.shared, 0)
 }
 
@@ -156,12 +149,27 @@ func normObj(space vm.Space, obj int64) int64 {
 
 // OnAccess implements vm.Observer.
 func (ac *accessCounter) OnAccess(st *vm.State, tid int, loc vm.Loc, write bool, pc bytecode.PCRef, tInstr int64) {
-	ac.own()
-	obj := normObj(loc.Space, loc.Obj)
-	ac.touched[objClass{loc.Space, obj}] = true
-	if !write {
-		ac.reads[counterKey{loc.Space, obj, int64(tid), pc.Line}]++
+	if !ac.touchedObj(loc.Space, loc.Obj) {
+		ac.own()
+		ac.touch(loc.Space, loc.Obj)
 	}
+	if !write {
+		ac.own()
+		ac.reads[counterKey{loc.Space, normObj(loc.Space, loc.Obj), int64(tid), pc.Line}]++
+	}
+}
+
+// touch marks the object class of (space, obj) touched.
+func (ac *accessCounter) touch(space vm.Space, obj int64) {
+	if space == vm.SpaceHeap {
+		ac.heap = true
+		return
+	}
+	w := int(obj / 64)
+	for w >= len(ac.globals) {
+		ac.globals = append(ac.globals, 0)
+	}
+	ac.globals[w] |= 1 << (obj % 64)
 }
 
 // OnSync implements vm.Observer (no-op).
@@ -170,7 +178,7 @@ func (ac *accessCounter) OnSync(st *vm.State, ev vm.SyncEvent) {}
 // CloneObs implements vm.Observer; O(1), see the type comment.
 func (ac *accessCounter) CloneObs() vm.Observer {
 	atomic.StoreUint32(&ac.shared, 1)
-	return &accessCounter{reads: ac.reads, touched: ac.touched, shared: 1}
+	return &accessCounter{reads: ac.reads, globals: ac.globals, heap: ac.heap, shared: 1}
 }
 
 // readsAt projects the read count of one race's object class at (tid,
@@ -181,7 +189,11 @@ func (ac *accessCounter) readsAt(space vm.Space, obj int64, tid int, line int32)
 
 // touchedObj reports whether the object class has been accessed at all.
 func (ac *accessCounter) touchedObj(space vm.Space, obj int64) bool {
-	return ac.touched[objClass{space, normObj(space, obj)}]
+	if space == vm.SpaceHeap {
+		return ac.heap
+	}
+	w := obj / 64
+	return w < int64(len(ac.globals)) && ac.globals[w]&(1<<(obj%64)) != 0
 }
 
 // findAccessCounter retrieves the replay's access counter, if any.

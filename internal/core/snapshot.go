@@ -5,6 +5,7 @@ import (
 	"cmp"
 	"encoding/gob"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/bytecode"
@@ -147,18 +148,38 @@ type predWire struct {
 	Violation string
 }
 
-func sortedObjs(m map[objClass]bool) []objWire {
-	out := make([]objWire, 0, len(m))
-	for k := range m {
-		out = append(out, objWire{Space: uint8(k.space), Obj: k.obj})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Space != out[j].Space {
-			return out[i].Space < out[j].Space
+// touchedObjs lists the counter's touched object classes: globals
+// ascending, then the heap class — the (space, obj) order.
+func touchedObjs(ac *accessCounter) []objWire {
+	var out []objWire
+	for i, word := range ac.globals {
+		for ; word != 0; word &= word - 1 {
+			g := int64(i*64 + bits.TrailingZeros64(word))
+			out = append(out, objWire{Space: uint8(vm.SpaceGlobal), Obj: g})
 		}
-		return out[i].Obj < out[j].Obj
-	})
+	}
+	if ac.heap {
+		out = append(out, objWire{Space: uint8(vm.SpaceHeap)})
+	}
 	return out
+}
+
+// checkClass rejects an object class that no program with nGlobals
+// globals can produce: a global out of range, a heap class other than
+// 0, or an unknown space. A restored counter sizes its touched bitset
+// by the largest global, so a corrupt tier must not pick that size.
+func checkClass(space uint8, obj int64, nGlobals int) error {
+	switch vm.Space(space) {
+	case vm.SpaceGlobal:
+		if obj >= 0 && obj < int64(nGlobals) {
+			return nil
+		}
+	case vm.SpaceHeap:
+		if obj == 0 {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: access-counter class (space %d, obj %d) is not one of the program's %d globals or the heap", space, obj, nGlobals)
 }
 
 // encodeObs serializes the observers the engine deposits on checkpoint
@@ -168,7 +189,7 @@ func encodeObs(o vm.Observer) (kind string, data []byte, ok bool) {
 	var buf bytes.Buffer
 	switch v := o.(type) {
 	case *accessCounter:
-		w := acWire{Touched: sortedObjs(v.touched), Reads: make([]readWire, 0, len(v.reads))}
+		w := acWire{Touched: touchedObjs(v), Reads: make([]readWire, 0, len(v.reads))}
 		for k, n := range v.reads {
 			w.Reads = append(w.Reads, readWire{Space: uint8(k.space), Obj: k.obj, TID: k.tid, Line: k.line, N: n})
 		}
@@ -239,8 +260,9 @@ func (t *CacheTier) bindPredicates(preds []Predicate) {
 	}
 }
 
-// decodeObs rebuilds an observer from its wire form.
-func decodeObs(kind string, data []byte) (vm.Observer, error) {
+// decodeObs rebuilds an observer from its wire form; nGlobals is the
+// global count of the program the observer's state executes.
+func decodeObs(kind string, data []byte, nGlobals int) (vm.Observer, error) {
 	dec := gob.NewDecoder(bytes.NewReader(data))
 	switch kind {
 	case obsAccessCounter:
@@ -250,10 +272,16 @@ func decodeObs(kind string, data []byte) (vm.Observer, error) {
 		}
 		ac := newAccessCounter()
 		for _, r := range w.Reads {
+			if err := checkClass(r.Space, r.Obj, nGlobals); err != nil {
+				return nil, err
+			}
 			ac.reads[counterKey{space: vm.Space(r.Space), obj: r.Obj, tid: r.TID, line: r.Line}] = r.N
 		}
 		for _, t := range w.Touched {
-			ac.touched[objClass{space: vm.Space(t.Space), obj: t.Obj}] = true
+			if err := checkClass(t.Space, t.Obj, nGlobals); err != nil {
+				return nil, err
+			}
+			ac.touch(vm.Space(t.Space), t.Obj)
 		}
 		return ac, nil
 	}
@@ -501,8 +529,10 @@ func encodeSolver(x solver.CacheExport) *SolverCacheWire {
 // deserialized one, sound under the tier's determinism contract.
 func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	prog := snap.Program
+	nGlobals := 0
 	if prog != nil {
 		prog.RecomputeWriteSets()
+		nGlobals = len(prog.Globals)
 	}
 	tr := snap.Trace
 
@@ -512,7 +542,7 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	var pend []pendingPred
 	decObs := func(kind string, data []byte) (vm.Observer, error) {
 		if kind != obsPredicate {
-			return decodeObs(kind, data)
+			return decodeObs(kind, data, nGlobals)
 		}
 		var w predWire
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {

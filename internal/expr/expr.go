@@ -413,6 +413,66 @@ func NewBinary(op Op, l, r Expr) Expr {
 	return &Binary{Op: op, L: l, R: r, h: hashBinary(op, Hash(l), Hash(r))}
 }
 
+// ConstSlab mints the non-interned Consts of one single-goroutine
+// producer (a VM machine) from 32-entry chunks instead of one heap
+// object each; interned values never touch it. Every slot is written
+// once, before its pointer is returned, and never again, so the Consts
+// it hands out are as immutable and shareable as NewConst's. A chunk
+// stays alive while any of its Consts is referenced. The zero value is
+// ready to use; a ConstSlab must not be used from two goroutines at
+// once.
+type ConstSlab struct {
+	chunk *[slabChunk]Const
+	used  int // slots of chunk handed out; an int, so take stores no pointer
+}
+
+const slabChunk = 32
+
+// Const is NewConst(v), with a non-interned result taken from the slab.
+// It inlines, so an interned value costs its caller no call.
+func (s *ConstSlab) Const(v int64) *Const {
+	if v >= InternMin && v < InternMax {
+		return internTab[v-InternMin]
+	}
+	return s.take(v)
+}
+
+// take fills the next free slot with v, starting a fresh chunk when the
+// current one is used up.
+func (s *ConstSlab) take(v int64) *Const {
+	if s.chunk == nil || s.used == slabChunk {
+		s.chunk, s.used = new([slabChunk]Const), 0
+	}
+	c := &s.chunk[s.used]
+	s.used++
+	*c = Const{Val: v, h: hashConst(v)}
+	return c
+}
+
+// Binary is NewBinary(op, l, r), with a folded non-interned result taken
+// from the slab.
+func (s *ConstSlab) Binary(op Op, l, r Expr) Expr {
+	if lc, ok := l.(*Const); ok {
+		if rc, ok := r.(*Const); ok {
+			if v, ok := applyBinary(op, lc.Val, rc.Val); ok {
+				return s.Const(v)
+			}
+		}
+	}
+	return NewBinary(op, l, r)
+}
+
+// BinaryK is NewBinary(op, x, NewConst(k)). A concrete x folds without
+// minting k's Const at all, its result taken from the slab.
+func (s *ConstSlab) BinaryK(op Op, x Expr, k int64) Expr {
+	if xc, ok := x.(*Const); ok {
+		if v, ok := applyBinary(op, xc.Val, k); ok {
+			return s.Const(v)
+		}
+	}
+	return NewBinary(op, x, NewConst(k))
+}
+
 // NewUnary builds op(x) with constant folding and double-negation
 // elimination.
 func NewUnary(op Op, x Expr) Expr {

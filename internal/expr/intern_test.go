@@ -158,3 +158,47 @@ func TestNewConstAllocFree(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestConstSlabMatchesNewBinary checks the slab's folding against
+// NewBinary: for every binary operator over values around the intern
+// bounds and far outside them, over a symbolic operand, and over the
+// undefined cases left unfolded (division by zero, shifts out of
+// range), Binary and BinaryK build a structurally equal expression with
+// the same memoized hash, interned values come from the intern table,
+// and the slab's constants are distinct nodes.
+func TestConstSlabMatchesNewBinary(t *testing.T) {
+	var s ConstSlab
+	x := NewSym("x")
+	vals := []int64{-1 << 40, -129, InternMin, -1, 0, 1, 2, 63, 64, InternMax - 1, InternMax, 5000, 1 << 40}
+	seen := map[*Const]bool{}
+	for op := OpAdd; op <= OpLOr; op++ {
+		for _, l := range vals {
+			for _, r := range vals {
+				want := NewBinary(op, NewConst(l), NewConst(r))
+				for _, got := range []Expr{s.Binary(op, NewConst(l), NewConst(r)), s.BinaryK(op, NewConst(l), r)} {
+					if !Equal(got, want) || memoHash(got) != Hash(want) {
+						t.Fatalf("%v %v %v: slab built %v, NewBinary %v", l, op, r, got, want)
+					}
+					if c, ok := got.(*Const); ok && !Interned(c.Val) {
+						if seen[c] {
+							t.Fatalf("%v %v %v: slab handed out one Const twice", l, op, r)
+						}
+						seen[c] = true
+					} else if ok && c != NewConst(c.Val) {
+						t.Fatalf("%v %v %v: interned result %d is not the table's node", l, op, r, c.Val)
+					}
+				}
+			}
+			want := NewBinary(op, x, NewConst(l))
+			if got := s.BinaryK(op, x, l); !Equal(got, want) || memoHash(got) != Hash(want) {
+				t.Fatalf("x %v %v: slab built %v, NewBinary %v", op, l, got, want)
+			}
+			if got := s.Binary(op, x, NewConst(l)); !Equal(got, want) {
+				t.Fatalf("x %v %v: slab built %v, NewBinary %v", op, l, got, want)
+			}
+		}
+	}
+	if len(seen) <= slabChunk {
+		t.Fatalf("only %d slab constants; the test never crossed a chunk boundary", len(seen))
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/vm"
@@ -94,32 +93,27 @@ func (r *Report) Describe(p *bytecode.Program) string {
 	return b.String()
 }
 
-// locState is the per-location detector metadata.
+// locState is the per-location detector metadata, held by value: the
+// last write, and the latest read of each thread since that write,
+// sorted by ascending TID. A write truncates reads in place, so a
+// location's slice is reused for the rest of the run.
 type locState struct {
-	lastWrite *Access
-	reads     map[int]*Access // by reader tid
+	lastWrite Access
+	written   bool
+	reads     []Access
 }
 
 // Detector is a happens-before race detector implementing vm.Observer.
-// Its entire state is cloneable, so it forks along with execution states
-// during multi-path analysis. Cloning is copy-on-write: CloneObs only
-// marks both detectors shared, and the first mutation on either side
-// deep-copies the tables (own) — so detection deposits, which clone the
-// state (and its observers) every few hundred instructions, pay nothing
-// for detectors that are never written again.
+// Once a location and its readers have been seen, an access allocates
+// only to start a new race cluster: thread clocks are indexed by TID,
+// and per-location state is held by value.
 type Detector struct {
-	vcs      map[int]VectorClock
+	vcs      []VectorClock // by tid; nil until the thread's first event
 	mutexVC  map[int]VectorClock
 	exitVC   map[int]VectorClock
 	locs     map[vm.Loc]*locState
 	clusters map[ClusterKey]*Report
 	order    []ClusterKey // report order, deterministic
-
-	// shared is 1 while the tables above may be referenced by another
-	// detector (set by CloneObs on both sides, cleared by own). It is
-	// accessed atomically: concurrent CloneObs calls on one parked state
-	// must not race with each other.
-	shared uint32
 
 	// OnNew, when non-nil, is invoked synchronously (from inside the
 	// racing access's OnAccess notification) each time a new race cluster
@@ -135,7 +129,6 @@ type Detector struct {
 // st.Observers.
 func NewDetector() *Detector {
 	return &Detector{
-		vcs:      map[int]VectorClock{},
 		mutexVC:  map[int]VectorClock{},
 		exitVC:   map[int]VectorClock{},
 		locs:     map[vm.Loc]*locState{},
@@ -152,157 +145,159 @@ func (d *Detector) Reports() []*Report {
 	return out
 }
 
-// own deep-copies the tables if they are still shared with another
-// detector. Every mutating entry point calls it first; the read-only
-// Reports never does, so an unmutated clone chain shares one set of
-// tables end to end.
-func (d *Detector) own() {
-	if atomic.LoadUint32(&d.shared) == 0 {
-		return
+func (d *Detector) vcOf(tid int) VectorClock {
+	if tid < len(d.vcs) && d.vcs[tid] != nil {
+		return d.vcs[tid]
 	}
-	vcs := make(map[int]VectorClock, len(d.vcs))
-	for k, v := range d.vcs {
-		vcs[k] = v.Copy()
-	}
-	mutexVC := make(map[int]VectorClock, len(d.mutexVC))
-	for k, v := range d.mutexVC {
-		mutexVC[k] = v.Copy()
-	}
-	exitVC := make(map[int]VectorClock, len(d.exitVC))
-	for k, v := range d.exitVC {
-		exitVC[k] = v.Copy()
-	}
-	locs := make(map[vm.Loc]*locState, len(d.locs))
-	for loc, ls := range d.locs {
-		nl := &locState{reads: make(map[int]*Access, len(ls.reads))}
-		if ls.lastWrite != nil {
-			w := *ls.lastWrite
-			nl.lastWrite = &w
-		}
-		for t, a := range ls.reads {
-			c := *a
-			nl.reads[t] = &c
-		}
-		locs[loc] = nl
-	}
-	clusters := make(map[ClusterKey]*Report, len(d.clusters))
-	for k, r := range d.clusters {
-		c := *r
-		clusters[k] = &c
-	}
-	d.vcs, d.mutexVC, d.exitVC, d.locs, d.clusters = vcs, mutexVC, exitVC, locs, clusters
-	d.order = append([]ClusterKey(nil), d.order...)
-	atomic.StoreUint32(&d.shared, 0)
+	vc := NewVC(tid+1).Set(tid, 1)
+	d.setVC(tid, vc)
+	return vc
 }
 
-func (d *Detector) vcOf(tid int) VectorClock {
-	vc, ok := d.vcs[tid]
-	if !ok {
-		vc = NewVC(tid+1).Set(tid, 1)
-		d.vcs[tid] = vc
+func (d *Detector) setVC(tid int, vc VectorClock) {
+	for tid >= len(d.vcs) {
+		d.vcs = append(d.vcs, nil)
 	}
-	return vc
+	d.vcs[tid] = vc
+}
+
+// loc returns the metadata of loc, creating it on first touch.
+func (d *Detector) loc(loc vm.Loc) *locState {
+	ls := d.locs[loc]
+	if ls == nil {
+		ls = &locState{}
+		d.locs[loc] = ls
+	}
+	return ls
 }
 
 // OnAccess implements vm.Observer: the FastTrack-style happens-before
 // check against the last write and the concurrent reads of the location.
+// A write racing several earlier reads reports them in ascending reader
+// TID, so report order and each cluster's First are fixed by the trace.
 func (d *Detector) OnAccess(st *vm.State, tid int, loc vm.Loc, write bool, pc bytecode.PCRef, tInstr int64) {
-	d.own()
 	vc := d.vcOf(tid)
-	cur := &Access{TID: tid, Write: write, PC: pc, TInstr: tInstr, Clock: vc.Get(tid), Global: st.Steps}
-	ls := d.locs[loc]
-	if ls == nil {
-		ls = &locState{reads: map[int]*Access{}}
-		d.locs[loc] = ls
-	}
+	cur := Access{TID: tid, Write: write, PC: pc, TInstr: tInstr, Clock: vc.Get(tid), Global: st.Steps}
+	ls := d.loc(loc)
 
-	report := func(prev *Access) {
-		key := normKey(loc, prev.PC, cur.PC)
-		if r, ok := d.clusters[key]; ok {
-			r.Instances++
-			return
-		}
-		r := &Report{Key: key, Loc: loc, First: *prev, Second: *cur, Instances: 1}
-		d.clusters[key] = r
-		d.order = append(d.order, key)
-		if d.OnNew != nil {
-			d.OnNew(r)
-		}
-	}
-
-	if w := ls.lastWrite; w != nil && w.TID != tid && w.Clock > vc.Get(w.TID) {
+	if w := &ls.lastWrite; ls.written && w.TID != tid && w.Clock > vc.Get(w.TID) {
 		// Last write is concurrent with this access: write-write or
 		// write-read race.
-		report(w)
+		d.report(loc, w, &cur)
 	}
 	if write {
-		for rt, r := range ls.reads {
-			if rt != tid && r.Clock > vc.Get(rt) {
-				report(r) // read-write race
+		for i := range ls.reads {
+			if r := &ls.reads[i]; r.TID != tid && r.Clock > vc.Get(r.TID) {
+				d.report(loc, r, &cur) // read-write race
 			}
 		}
-		ls.lastWrite = cur
-		ls.reads = map[int]*Access{}
-	} else {
-		ls.reads[tid] = cur
+		ls.lastWrite, ls.written = cur, true
+		ls.reads = ls.reads[:0]
+		return
+	}
+	i := 0
+	for i < len(ls.reads) && ls.reads[i].TID < tid {
+		i++
+	}
+	if i < len(ls.reads) && ls.reads[i].TID == tid {
+		ls.reads[i] = cur
+		return
+	}
+	ls.reads = append(ls.reads, Access{})
+	copy(ls.reads[i+1:], ls.reads[i:])
+	ls.reads[i] = cur
+}
+
+// report counts one racing pair (prev, cur) at loc: a new instance of
+// its cluster, or a new cluster.
+func (d *Detector) report(loc vm.Loc, prev, cur *Access) {
+	key := normKey(loc, prev.PC, cur.PC)
+	if r, ok := d.clusters[key]; ok {
+		r.Instances++
+		return
+	}
+	r := &Report{Key: key, Loc: loc, First: *prev, Second: *cur, Instances: 1}
+	d.clusters[key] = r
+	d.order = append(d.order, key)
+	if d.OnNew != nil {
+		d.OnNew(r)
 	}
 }
 
 // OnSync implements vm.Observer: maintains the happens-before relation
 // over spawn/join/lock/unlock/signal/barrier.
 func (d *Detector) OnSync(st *vm.State, ev vm.SyncEvent) {
-	d.own()
 	switch ev.Kind {
 	case vm.EvSpawn:
 		parent := d.vcOf(ev.TID)
-		child := d.vcOf(ev.Obj).Join(parent)
-		d.vcs[ev.Obj] = child
-		d.vcs[ev.TID] = parent.Tick(ev.TID)
+		d.setVC(ev.Obj, d.vcOf(ev.Obj).Join(parent))
+		d.setVC(ev.TID, parent.Tick(ev.TID))
 	case vm.EvExit:
 		d.exitVC[ev.TID] = d.vcOf(ev.TID).Copy()
 	case vm.EvJoin:
 		if exit, ok := d.exitVC[ev.Obj]; ok {
-			d.vcs[ev.TID] = d.vcOf(ev.TID).Join(exit)
+			d.setVC(ev.TID, d.vcOf(ev.TID).Join(exit))
 		}
 	case vm.EvAcquire:
 		if mvc, ok := d.mutexVC[ev.Obj]; ok {
-			d.vcs[ev.TID] = d.vcOf(ev.TID).Join(mvc)
+			d.setVC(ev.TID, d.vcOf(ev.TID).Join(mvc))
 		}
 	case vm.EvRelease:
 		d.mutexVC[ev.Obj] = d.vcOf(ev.TID).Copy()
-		d.vcs[ev.TID] = d.vcOf(ev.TID).Tick(ev.TID)
+		d.setVC(ev.TID, d.vcOf(ev.TID).Tick(ev.TID))
 	case vm.EvSignal:
 		sig := d.vcOf(ev.TID)
 		for _, w := range ev.Others {
-			d.vcs[w] = d.vcOf(w).Join(sig)
+			d.setVC(w, d.vcOf(w).Join(sig))
 		}
-		d.vcs[ev.TID] = sig.Tick(ev.TID)
+		d.setVC(ev.TID, sig.Tick(ev.TID))
 	case vm.EvBarrier:
 		all := NewVC(0)
 		for _, p := range ev.Others {
 			all = all.Join(d.vcOf(p))
 		}
 		for _, p := range ev.Others {
-			d.vcs[p] = all.Copy().Tick(p)
+			d.setVC(p, all.Copy().Tick(p))
 		}
 	}
 }
 
-// CloneObs implements vm.Observer. It is O(1): the clone shares the
-// source's tables and both sides are marked shared, deferring the deep
-// copy to whichever side mutates first (own). OnNew is intentionally not
-// copied — see its field comment.
+// CloneObs implements vm.Observer with a deep copy. Detection detaches
+// its detector before every checkpoint deposit, so clones are rare and
+// the copy costs nothing on the per-access path. OnNew is intentionally
+// not copied — see its field comment.
 func (d *Detector) CloneObs() vm.Observer {
-	atomic.StoreUint32(&d.shared, 1)
-	return &Detector{
-		vcs:      d.vcs,
-		mutexVC:  d.mutexVC,
-		exitVC:   d.exitVC,
-		locs:     d.locs,
-		clusters: d.clusters,
-		order:    d.order[:len(d.order):len(d.order)],
-		shared:   1,
+	c := &Detector{
+		vcs:      make([]VectorClock, len(d.vcs)),
+		mutexVC:  copyClocks(d.mutexVC),
+		exitVC:   copyClocks(d.exitVC),
+		locs:     make(map[vm.Loc]*locState, len(d.locs)),
+		clusters: make(map[ClusterKey]*Report, len(d.clusters)),
+		order:    append([]ClusterKey(nil), d.order...),
 	}
+	for t, vc := range d.vcs {
+		if vc != nil {
+			c.vcs[t] = vc.Copy()
+		}
+	}
+	for loc, ls := range d.locs {
+		cl := *ls
+		cl.reads = append([]Access(nil), ls.reads...)
+		c.locs[loc] = &cl
+	}
+	for k, r := range d.clusters {
+		cr := *r
+		c.clusters[k] = &cr
+	}
+	return c
+}
+
+func copyClocks(m map[int]VectorClock) map[int]VectorClock {
+	out := make(map[int]VectorClock, len(m))
+	for k, v := range m {
+		out[k] = v.Copy()
+	}
+	return out
 }
 
 // SortReports orders reports deterministically by location then pcs; used

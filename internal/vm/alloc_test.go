@@ -65,6 +65,48 @@ func TestExecAllocFree(t *testing.T) {
 	}
 }
 
+// countLoopSrc is tightLoopSrc without the mask: i leaves the intern
+// range after 1,024 iterations, so every ADD yields a non-interned
+// constant.
+const countLoopSrc = `
+fn main() {
+	let i = 0
+	while 1 {
+		i = i + 1
+	}
+}`
+
+// TestExecConstSlab guards the machine's constant slab: past the intern
+// range, a counting loop mints one constant per iteration (about 714
+// per 5,000 instructions), and the slab serves them 32 to an
+// allocation, fused and unfused alike.
+func TestExecConstSlab(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		noFuse bool
+	}{
+		{"fused", false},
+		{"unfused", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := bytecode.MustCompile(countLoopSrc, "countloop", bytecode.Options{NoFuse: tc.noFuse})
+			m := vm.NewMachine(vm.NewState(p, nil, nil), vm.NewRoundRobin())
+			// Warm up past the intern range.
+			if res := m.Run(10_000); res.Kind != vm.StopBudget {
+				t.Fatalf("warm-up run: %v", res.Kind)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if res := m.Run(5_000); res.Kind != vm.StopBudget {
+					t.Fatalf("run: %v", res.Kind)
+				}
+			})
+			if allocs > 25 {
+				t.Errorf("counting loop allocates %v times per 5000 instructions, want <= 25", allocs)
+			}
+		})
+	}
+}
+
 // cloneSink keeps State.Clone results live so AllocsPerRun measures the
 // clone itself, not a dead store the compiler elides.
 var cloneSink *vm.State

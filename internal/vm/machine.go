@@ -107,6 +107,10 @@ type Machine struct {
 	internHits   int64
 	skippedSteps int64
 
+	// slab mints the non-interned constants this machine pushes and
+	// folds, 32 to an allocation; the machine runs on one goroutine.
+	slab expr.ConstSlab
+
 	probe periodProbe // spin-tracked runs' period detector (period.go)
 }
 
@@ -367,14 +371,14 @@ func (m *Machine) execFused(fr *Frame, f *bytecode.FusedInstr) bool {
 	switch f.Kind {
 	case bytecode.FuseLocalConstOp:
 		// LOADL src; PUSH k; binop; STOREL dst — no stack traffic at all.
-		fr.Locals[f.Dst] = expr.NewBinary(binOpOf(f.Op), fr.Locals[f.Src], expr.NewConst(f.K))
+		fr.Locals[f.Dst] = m.slab.BinaryK(binOpOf(f.Op), fr.Locals[f.Src], f.K)
 	case bytecode.FuseConstOp:
 		// PUSH k; binop — combine with the stack top in place.
 		n := len(fr.Stack)
 		if n == 0 {
 			return false
 		}
-		fr.Stack[n-1] = expr.NewBinary(binOpOf(f.Op), fr.Stack[n-1], expr.NewConst(f.K))
+		fr.Stack[n-1] = m.slab.BinaryK(binOpOf(f.Op), fr.Stack[n-1], f.K)
 	default:
 		return false
 	}
@@ -407,7 +411,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		if expr.Interned(in.A) {
 			m.internHits++
 		}
-		fr.Stack = append(fr.Stack, expr.NewConst(in.A))
+		fr.Stack = append(fr.Stack, m.slab.Const(in.A))
 		fr.PC++
 		return true, nil
 
@@ -614,7 +618,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 				}
 			}
 		}
-		fr.Stack = append(fr.Stack, expr.NewBinary(binOpOf(in.Op), l, r))
+		fr.Stack = append(fr.Stack, m.slab.Binary(binOpOf(in.Op), l, r))
 		fr.PC++
 		return true, nil
 

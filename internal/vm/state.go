@@ -189,9 +189,12 @@ type Observer interface {
 	OnAccess(st *State, tid int, loc Loc, write bool, pc bytecode.PCRef, tInstr int64)
 	// OnSync is called after each synchronization event.
 	OnSync(st *State, ev SyncEvent)
-	// CloneObs returns a logically independent copy. Implementations are
-	// expected to be O(1): share the underlying tables and copy them on
-	// first mutation (see race.Detector for the canonical shape).
+	// CloneObs returns a logically independent copy. Checkpoint deposits
+	// clone states constantly, so an observer carried on checkpoint
+	// states should make this O(1): share its tables and copy them only
+	// when an event changes them (core's access counter is the shape).
+	// The race detector is detached before every deposit and simply
+	// deep-copies.
 	CloneObs() Observer
 }
 
@@ -411,7 +414,8 @@ func (st *State) fork() *State {
 	}
 	// The Observers slice itself must be private (dropAccessCounter and
 	// friends splice it in place), and each observer forks its identity —
-	// cheaply, since observers copy-on-write their tables too.
+	// cheaply for the observers checkpoints carry, which copy-on-write
+	// their tables too.
 	if len(st.Observers) > 0 {
 		obs := make([]Observer, len(st.Observers))
 		for i, o := range st.Observers {

@@ -297,14 +297,15 @@ func BenchmarkCheckpoint_SharedReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint_SymbolicPrefix measures the symbolic checkpoint
-// store on the workload shape the concrete store cannot help: the
-// input() read (and input-dependent branching) precedes every race, so
-// every pre-race replay prefix has consumed a symbolic read and
-// multi-path exploration can only resume from the symbolic store's
-// mainline snapshots (pending forks included). The caches-off arm
-// re-explores every race's prefix from the root — identical verdicts,
-// no reuse.
+// BenchmarkCheckpoint_SymbolicPrefix measures the caches on the
+// input-before-race shape: the input() read (and input-dependent
+// branching) precedes every race, so every pre-race replay prefix has
+// consumed a symbolic read and every multi-path exploration replays
+// symbolically from the root. What the caches-on arm still saves is the
+// replays to each race, which resume from the replay checkpoint store,
+// and the repeated path-condition queries, which the solver cache
+// answers. The caches-off arm replays every race's prefix from the root
+// — identical verdicts, no reuse.
 func BenchmarkCheckpoint_SymbolicPrefix(b *testing.B) {
 	src := workloads.SymPrefixRaceSource(16, 6, 6000)
 	w := &workloads.Workload{Name: "sym-prefix", Source: src, Inputs: []int64{3}}

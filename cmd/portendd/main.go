@@ -1,11 +1,11 @@
 // Command portendd is the long-lived Portend analysis service: an HTTP
 // daemon that accepts many concurrent analysis submissions, streams
 // verdicts back as NDJSON, and keeps per-submission persistent cache
-// tiers so repeat analyses of the same program start warm (solver memo,
-// concrete and symbolic checkpoints survive across requests). With
-// -data-dir the tiers are also durable: each is
-// serialized to a checksummed on-disk file and restored lazily after a
-// restart, so warmth survives crashes and redeploys.
+// tiers so repeat analyses of the same program start warm (solver memo
+// and replay checkpoints survive across requests). With -data-dir the
+// tiers are also durable: each is serialized to a checksummed on-disk
+// file and restored lazily after a restart, so warmth survives crashes
+// and redeploys.
 //
 // Usage:
 //

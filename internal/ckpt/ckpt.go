@@ -6,26 +6,14 @@
 // lines 1–4). Replay is deterministic — the same trace position and the
 // same machine state always produce the same continuation — so the
 // concrete state reached at one race's pre-race point is a valid starting
-// point for any later race's replay. The engine exploits that with two
-// instances of one Store:
-//
-//   - the concrete replay store holds replay snapshots. The detection
-//     phase deposits them as it walks the trace (each new race cluster's
-//     detection point, plus a periodic cadence) and classification
-//     replays deposit their own pre-race points; subsequent replays
-//     resume from the nearest prior snapshot instead of the root, turning
-//     the O(R × trace-length) cost of classifying R races into roughly
-//     one pass over the trace. Its entries carry no forks and zero
-//     counters.
-//   - the exploration-mainline store holds snapshots of the multi-path
-//     exploration mainline — the symbolic execution that follows the
-//     recorded schedule — together with the sibling states pending in the
-//     fork queue and the exploration counters of the skipped prefix.
-//     Concrete snapshots whose prefix consumed a symbolic input can never
-//     seed symbolic re-execution (the consumed read would stay concrete);
-//     mainline snapshots carry the minted symbols, path condition, and
-//     pending forks, so explorations of later races resume past the
-//     symbolic-input frontier.
+// point for any later race's replay. The engine exploits that with one
+// Store per recorded trace: the detection phase deposits replay snapshots
+// as it walks the trace (each new race cluster's detection point, plus a
+// periodic cadence) and classification replays deposit their own
+// pre-race points; subsequent replays — and multi-path explorations whose
+// skipped prefix is symbolic-safe — resume from the nearest prior
+// snapshot instead of the root, turning the O(R × trace-length) cost of
+// classifying R races into roughly one pass over the trace.
 //
 // Entries are immutable after Add: both Add and Resume hand out private
 // snapshots (vm.State.Clone and vm.CloneableController.CloneCtl), so any
@@ -50,60 +38,26 @@ import (
 	"repro/internal/vm"
 )
 
-// DefaultMax is the entry bound of the engine's stores.
+// DefaultMax is the entry bound of the engine's checkpoint store.
 const DefaultMax = 64
 
-// PendingFork is one sibling state queued (but not yet explored) when a
-// mainline checkpoint was taken: the forked state — its hints already
-// steering it down the unexplored branch side — and the controller that
-// continues its schedule.
-type PendingFork struct {
-	State *vm.State
-	Ctl   vm.Controller
-}
-
 // Entry is one checkpoint, filed under State.Steps: a state parked on
-// the recorded schedule and the controller that continues it. An
-// exploration-mainline checkpoint also carries the fork queue pending at
-// the park and the exploration counters of the prefix; a resuming
-// exploration must requeue the forks behind the mainline and pre-charge
-// its engine with Branches and ForksUsed (and its truncation accounting
-// with Dropped), so that a budget- or cap-bound exploration behaves
-// exactly as one started from the root. A concrete replay checkpoint has
-// no forks and zero counters.
+// the recorded schedule and the controller that continues it.
 type Entry struct {
 	State *vm.State
 	Ctl   vm.Controller
-	Forks []PendingFork
-
-	Branches  int // symbolic branch decisions taken in the prefix
-	ForksUsed int // fork-budget slots consumed in the prefix
-	Dropped   int // forks dropped at the queue cap in the prefix
 }
 
-// clone returns a private copy of e: the state, the controller, and each
-// pending fork, cloned copy-on-write in that order. ok is false if any
-// controller is not cloneable — such a snapshot cannot be replayed
-// faithfully, so the whole entry is unusable.
+// clone returns a private copy of e: the state and the controller, both
+// cloned copy-on-write. ok is false if the controller is not cloneable —
+// such a snapshot cannot be replayed faithfully, so the entry is
+// unusable.
 func (e Entry) clone() (Entry, bool) {
 	cc, ok := e.Ctl.(vm.CloneableController)
 	if !ok {
 		return Entry{}, false
 	}
-	e.State = e.State.Clone()
-	e.Ctl = cc.CloneCtl()
-	if len(e.Forks) > 0 {
-		forks := make([]PendingFork, len(e.Forks))
-		for i, f := range e.Forks {
-			fc, ok := f.Ctl.(vm.CloneableController)
-			if !ok {
-				return Entry{}, false
-			}
-			forks[i] = PendingFork{State: f.State.Clone(), Ctl: fc.CloneCtl()}
-		}
-		e.Forks = forks
-	}
-	return e, true
+	return Entry{State: e.State.Clone(), Ctl: cc.CloneCtl()}, true
 }
 
 // Store holds the checkpoints of one recorded trace, sorted by the global
@@ -240,16 +194,15 @@ func (s *Store) Stride() int64 {
 	return s.stride
 }
 
-// Add snapshots e at e.State.Steps. The state, the controller, and every
-// pending fork are cloned copy-on-write (O(1) each, not a deep copy), so
-// the caller keeps running its own copies untouched while the stored
-// entry stays frozen behind the state's write barriers. A duplicate step
-// count or one closer than the thinning stride to an existing neighbor
-// is refused cheaply, before any cloning; an entry with an uncloneable
-// controller (the mainline's or any fork's), or one a capacity thinning
-// could not make room for, is refused too — and a refused Add never
-// thins: stored checkpoints are only dropped when the incoming entry
-// actually lands.
+// Add snapshots e at e.State.Steps. The state and the controller are
+// cloned copy-on-write (O(1) each, not a deep copy), so the caller keeps
+// running its own copies untouched while the stored entry stays frozen
+// behind the state's write barriers. A duplicate step count or one
+// closer than the thinning stride to an existing neighbor is refused
+// cheaply, before any cloning; an entry with an uncloneable controller,
+// or one a capacity thinning could not make room for, is refused too —
+// and a refused Add never thins: stored checkpoints are only dropped
+// when the incoming entry actually lands.
 func (s *Store) Add(e Entry) {
 	steps := e.State.Steps
 	s.mu.Lock()

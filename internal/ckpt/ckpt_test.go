@@ -29,18 +29,15 @@ func stateAt(t *testing.T, steps int64) *vm.State {
 	return st
 }
 
-// shape is one of the two entry shapes the engine files in a Store: a
-// concrete replay checkpoint (no forks, zero counters) or an
-// exploration-mainline checkpoint (a pending fork plus the prefix's
-// exploration counters). Store mechanics must not depend on the shape,
-// so every mechanics test runs once per shape and checks that each
-// resumed entry still carries the payload deposited at its step count.
+// shape is the entry shape the engine files in a Store: a replay
+// checkpoint, a state and its controller. Every mechanics test runs as a
+// subtest named for it and checks that each resumed entry still carries
+// the payload deposited at its step count.
 type shape struct {
-	name     string
-	mainline bool
+	name string
 }
 
-var shapes = []shape{{"concrete", false}, {"mainline", true}}
+var shapes = []shape{{"concrete"}}
 
 // forShapes runs body as one subtest per entry shape.
 func forShapes(t *testing.T, body func(t *testing.T, sh shape)) {
@@ -52,12 +49,7 @@ func forShapes(t *testing.T, body func(t *testing.T, sh shape)) {
 // at builds the shape's entry parked at steps.
 func (sh shape) at(t *testing.T, steps int64) Entry {
 	t.Helper()
-	e := Entry{State: stateAt(t, steps), Ctl: vm.NewRoundRobin()}
-	if sh.mainline {
-		e.Forks = []PendingFork{{State: stateAt(t, steps+2), Ctl: vm.NewRoundRobin()}}
-		e.Branches, e.ForksUsed, e.Dropped = int(steps/10), int(steps/100), 1
-	}
-	return e
+	return Entry{State: stateAt(t, steps), Ctl: vm.NewRoundRobin()}
 }
 
 // add deposits the shape's entry parked at steps.
@@ -71,19 +63,6 @@ func (sh shape) check(t *testing.T, e Entry, steps int64) {
 	t.Helper()
 	if e.State.Steps != steps || e.Ctl == nil {
 		t.Fatalf("entry state at %d steps (ctl %v), want %d", e.State.Steps, e.Ctl, steps)
-	}
-	if !sh.mainline {
-		if len(e.Forks) != 0 || e.Branches != 0 || e.ForksUsed != 0 || e.Dropped != 0 {
-			t.Fatalf("concrete entry @%d grew a payload: %+v", steps, e)
-		}
-		return
-	}
-	if len(e.Forks) != 1 || e.Forks[0].State.Steps != steps+2 || e.Forks[0].Ctl == nil {
-		t.Fatalf("mainline entry @%d lost its pending fork: %+v", steps, e.Forks)
-	}
-	if e.Branches != int(steps/10) || e.ForksUsed != int(steps/100) || e.Dropped != 1 {
-		t.Fatalf("mainline entry @%d counters = %d/%d/%d, want %d/%d/1",
-			steps, e.Branches, e.ForksUsed, e.Dropped, steps/10, steps/100)
 	}
 }
 
@@ -338,6 +317,22 @@ func TestStoreCapacityOne(t *testing.T) {
 	})
 }
 
+// flatCtl is a deliberately non-cloneable controller.
+type flatCtl struct{}
+
+func (flatCtl) PickNext(st *vm.State, runnable []int) int { return runnable[0] }
+
+// TestSymStoreUncloneableForkRefused: an entry whose controller cannot
+// be cloned cannot be replayed faithfully, so it must not be stored at
+// all.
+func TestSymStoreUncloneableForkRefused(t *testing.T) {
+	s := NewStore(8)
+	s.Add(Entry{State: stateAt(t, 20), Ctl: flatCtl{}})
+	if s.Len() != 0 {
+		t.Fatalf("uncloneable controller was stored: len = %d", s.Len())
+	}
+}
+
 // TestStoreConcurrent exercises Add/Resume races under -race.
 func TestStoreConcurrent(t *testing.T) {
 	forShapes(t, func(t *testing.T, sh shape) {
@@ -391,12 +386,9 @@ func TestStoreExportImport(t *testing.T) {
 			t.Fatalf("imported store: len %d stride %d thinned %d hits %d misses %d, want 3/20/2/1/1",
 				back.Len(), back.Stride(), back.Thinned(), back.Hits(), back.Misses())
 		}
-		var mem int64 // every stored state, pending forks included
+		var mem int64 // every stored state
 		for _, e := range x.Entries {
 			mem += e.State.MemEstimate()
-			for _, f := range e.Forks {
-				mem += f.State.MemEstimate()
-			}
 		}
 		if back.MemBytes() != mem || orig.MemBytes() != mem {
 			t.Errorf("MemBytes = %d imported, %d original, want %d", back.MemBytes(), orig.MemBytes(), mem)

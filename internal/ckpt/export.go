@@ -22,7 +22,7 @@ type Exported struct {
 }
 
 // Export returns the store's content for serialization. The returned
-// states, controllers, and forks are the live stored entries: read-only.
+// states and controllers are the live stored entries: read-only.
 func (s *Store) Export() Exported {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -59,17 +59,13 @@ func (s *Store) Import(x Exported) {
 	s.misses.Store(x.Misses)
 }
 
-// MemBytes estimates the heap footprint of all stored checkpoint and
-// pending-fork states.
+// MemBytes estimates the heap footprint of all stored checkpoint states.
 func (s *Store) MemBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int64
 	for _, e := range s.entries {
 		n += e.State.MemEstimate()
-		for _, f := range e.Forks {
-			n += f.State.MemEstimate()
-		}
 	}
 	return n
 }

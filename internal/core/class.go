@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/bytecode"
-	"repro/internal/expr"
 	"repro/internal/race"
 	"repro/internal/sa"
 	"repro/internal/solver"
@@ -265,19 +264,15 @@ type Stats struct {
 	PrimaryPaths  int
 	Alternates    int
 
-	// CheckpointHits counts replays of this classification that resumed
-	// from the shared concrete checkpoint store (populated by the
-	// detection pass and by earlier classification replays) instead of
-	// the program's initial state; SymCheckpointHits counts multi-path
-	// explorations that resumed from the symbolic store — mainline
-	// snapshots taken past the symbolic-input frontier, pending forks
-	// included; SolverCacheHits counts solver queries answered from the
-	// shared memo. All three depend on cache warmth (what earlier —
-	// possibly concurrent — work populated), so unlike the verdict itself
-	// they may vary with pool width.
-	CheckpointHits    int
-	SymCheckpointHits int
-	SolverCacheHits   int
+	// CheckpointHits counts replays and multi-path explorations of this
+	// classification that resumed from the shared checkpoint store
+	// (populated by the detection pass and by earlier classification
+	// replays) instead of the program's initial state; SolverCacheHits
+	// counts solver queries answered from the shared memo. Both depend on
+	// cache warmth (what earlier — possibly concurrent — work populated),
+	// so unlike the verdict itself they may vary with pool width.
+	CheckpointHits  int
+	SolverCacheHits int
 
 	// PrunedSchedules counts multi-path worklist items skipped by the
 	// static dead-item prune: pending exploration items none of whose
@@ -443,15 +438,4 @@ func findPredicateObserver(st *vm.State) *PredicateObserver {
 		}
 	}
 	return nil
-}
-
-func mergeHints(dst expr.Assignment, src expr.Assignment) expr.Assignment {
-	out := make(expr.Assignment, len(dst)+len(src))
-	for k, v := range dst {
-		out[k] = v
-	}
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }

@@ -20,15 +20,13 @@ type Classifier struct {
 	Opts Options
 	sol  *solver.Solver
 
-	// shared is the run-wide reuse machinery (concrete and symbolic
-	// checkpoint stores, solver memo); nil when Options.NoCache disabled
-	// it. ckptHits counts this classifier's replays that resumed from the
-	// concrete store; symHits counts multi-path explorations that resumed
-	// from the symbolic store. Both are only touched from the goroutine
+	// shared is the run-wide reuse machinery (replay checkpoint store,
+	// solver memo); nil when Options.NoCache disabled it. ckptHits counts
+	// this classifier's replays and multi-path explorations that resumed
+	// from the checkpoint store; it is only touched from the goroutine
 	// driving ClassifyCtx.
 	shared   *sharedCaches
 	ckptHits int
-	symHits  int
 
 	// prunedSchedules counts worklist items the static dead-item prune
 	// skipped; pathItemsRun counts items that executed. Both are only
@@ -194,10 +192,10 @@ func (c *Classifier) ClassifyCtx(cctx context.Context, rep *race.Report, tr *tra
 // statsSnap is the counter baseline taken at the start of one
 // classification; finishStats turns it into per-race deltas.
 type statsSnap struct {
-	queries, cacheHits, ckptHits, symHits, evictions int
-	prunedSchedules, pathItemsRun                    int
-	fused, interned, skipped                         int64
-	cloneAllocs, cloneBytes                          int64
+	queries, cacheHits, ckptHits, evictions int
+	prunedSchedules, pathItemsRun           int
+	fused, interned, skipped                int64
+	cloneAllocs, cloneBytes                 int64
 }
 
 func (c *Classifier) snapStats() statsSnap {
@@ -205,7 +203,6 @@ func (c *Classifier) snapStats() statsSnap {
 		queries:         c.sol.Queries(),
 		cacheHits:       c.sol.CacheHits(),
 		ckptHits:        c.ckptHits,
-		symHits:         c.symHits,
 		prunedSchedules: c.prunedSchedules,
 		pathItemsRun:    c.pathItemsRun,
 		fused:           c.vmCounters.FusedOps.Load(),
@@ -224,7 +221,6 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 	v.Stats.SolverQueries = c.sol.Queries() - snap.queries
 	v.Stats.SolverCacheHits = c.sol.CacheHits() - snap.cacheHits
 	v.Stats.CheckpointHits = c.ckptHits - snap.ckptHits
-	v.Stats.SymCheckpointHits = c.symHits - snap.symHits
 	v.Stats.PrunedSchedules = c.prunedSchedules - snap.prunedSchedules
 	v.Stats.PathItemsRun = c.pathItemsRun - snap.pathItemsRun
 	v.Stats.FusedOps = c.vmCounters.FusedOps.Load() - snap.fused
@@ -327,7 +323,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		ctl    vm.Controller
 		budget = c.Opts.RunBudget
 	)
-	store, _ := c.shared.storesFor(tr)
+	store := c.shared.storeFor(tr)
 	if store != nil && rep.First.Global > 0 {
 		if e, steps, ok := store.Resume(rep.First.Global, nil); ok {
 			st, ctl = e.State, e.Ctl

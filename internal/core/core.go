@@ -239,7 +239,7 @@ func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
 		Extra:         extra,
 		SnapshotEvery: DefaultDetectCheckpointEvery,
 		Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
-			if store, _ := shared.storesFor(tr); store != nil {
+			if store := shared.storeFor(tr); store != nil {
 				store.Add(ckpt.Entry{State: st, Ctl: trace.ReplayerAt(tr, vm.NewRoundRobin(), decisions)})
 			}
 		},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/bytecode"
-	"repro/internal/ckpt"
 	"repro/internal/explore"
 	"repro/internal/expr"
 	"repro/internal/race"
@@ -42,9 +41,8 @@ type pathItem struct {
 	skipped int64
 
 	// mainline marks the exploration item that still follows the
-	// recorded schedule from the root (or a resumed snapshot of it) —
-	// the only item whose parked states are deposited into the symbolic
-	// checkpoint store.
+	// recorded schedule from the root (or a resumed snapshot of it); the
+	// static dead-item prune exempts it.
 	mainline bool
 }
 
@@ -75,64 +73,17 @@ type mpResult struct {
 	truncated   int
 }
 
-// explorationRoot is the starting point of one race's multi-path
-// exploration: the mainline item (root-started or checkpoint-resumed),
-// the sibling items pending in the fork queue at the resumed snapshot
-// (empty for root and concrete-checkpoint starts), and the exploration
-// counters the skipped prefix accumulated — the engine must be seeded
-// with branches/forksUsed and the truncation accounting with dropped, so
-// the continuation behaves exactly as a root-started exploration.
-type explorationRoot struct {
-	item    *pathItem
-	pending []*pathItem
-
-	branches, forksUsed, dropped int
-}
-
-// multipathRoot builds the starting point of one race's multi-path
-// exploration, trying the run's checkpoint stores from most to least
-// informed:
-//
-//  1. The symbolic store: a snapshot of an earlier race's exploration
-//     mainline, pending forks included. It already carries the minted
-//     symbols, path condition, and concolic hints of its prefix, so it
-//     is usable even when the prefix consumed symbolic inputs — the case
-//     no concrete snapshot can cover. The prefix must not have touched
-//     the racy object class (every exploration breakpoint and the race
-//     point itself must still lie ahead) and must fit one root-started
-//     segment budget, or a budget-bound continuation could explore work
-//     its root-started twin would never reach.
-//  2. The concrete replay store: usable only if the prefix additionally
-//     (a) never touched the racy object and (b) consumed no input or
-//     argument reads that symbolic execution would have made symbolic,
-//     so re-arming the symbolic sources on the resumed state reproduces
-//     the root-started execution bit for bit.
-//  3. A full symbolic replay from the root.
-func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) explorationRoot {
+// multipathRoot builds the mainline item of one race's multi-path
+// exploration: the symbolic execution that follows the recorded schedule.
+// It resumes from the run's replay checkpoint store when the skipped
+// prefix (a) never touched the racy object and (b) consumed no input or
+// argument reads that symbolic execution would have made symbolic, so
+// re-arming the symbolic sources on the resumed state reproduces the
+// root-started execution bit for bit; otherwise it replays symbolically
+// from the root.
+func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) *pathItem {
 	limit := rep.First.Global
-	store, sym := c.shared.storesFor(tr)
-	if sym != nil && limit > 0 {
-		accept := func(st *vm.State) bool {
-			ac := findAccessCounter(st)
-			return ac != nil && !ac.touchedObj(rep.Key.Space, rep.Key.Obj) &&
-				st.Steps <= c.Opts.RunBudget
-		}
-		if e, steps, ok := sym.Resume(limit, accept); ok {
-			c.symHits++
-			pending := make([]*pathItem, len(e.Forks))
-			for i, f := range e.Forks {
-				pending[i] = &pathItem{st: f.State, ctl: f.Ctl}
-			}
-			return explorationRoot{
-				item:      &pathItem{st: e.State, ctl: e.Ctl, skipped: steps, mainline: true},
-				pending:   pending,
-				branches:  e.Branches,
-				forksUsed: e.ForksUsed,
-				dropped:   e.Dropped,
-			}
-		}
-	}
-	if store != nil && limit > 0 {
+	if store := c.shared.storeFor(tr); store != nil && limit > 0 {
 		accept := func(st *vm.State) bool {
 			ac := findAccessCounter(st)
 			if ac == nil || ac.touchedObj(rep.Key.Space, rep.Key.Obj) {
@@ -149,60 +100,19 @@ func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) exploratio
 		if e, steps, ok := store.Resume(limit, accept); ok {
 			st, ctl := e.State, e.Ctl
 			c.ckptHits++
-			// The counter stays attached: the mainline deposits symbolic
-			// snapshots of its own, and their accept check needs the
-			// prefix's touched-object record.
-			if sym == nil {
-				dropAccessCounter(st)
-			}
+			dropAccessCounter(st)
 			// Re-arm the symbolic sources exactly as newRootState does;
 			// the accepted prefix consumed none of them.
 			st.In.NSymbolic = c.Opts.SymbolicInputs
 			for _, i := range c.Opts.SymbolicArgs {
 				st.MarkSymArg(i)
 			}
-			return explorationRoot{item: &pathItem{st: st, ctl: ctl, skipped: steps, mainline: true}}
+			return &pathItem{st: st, ctl: ctl, skipped: steps, mainline: true}
 		}
 	}
-	root := c.newRootState(tr, true)
-	if sym != nil {
-		root.Observers = append(root.Observers, newAccessCounter())
+	return &pathItem{
+		st: c.newRootState(tr, true), ctl: trace.NewReplayer(tr, vm.NewRoundRobin()), mainline: true,
 	}
-	return explorationRoot{item: &pathItem{
-		st: root, ctl: trace.NewReplayer(tr, vm.NewRoundRobin()), mainline: true,
-	}}
-}
-
-// depositSym snapshots the exploration mainline into the symbolic store:
-// the parked state and its controller, the sibling states pending in the
-// fork queue, and the exploration counters accumulated so far. Later
-// races whose first racing access lies beyond this park — and whose racy
-// object the prefix never touched — resume here instead of re-exploring
-// from the root, even when the prefix consumed symbolic inputs. The
-// store's cheap admission pre-check (duplicate/stride) keeps already-
-// covered parks from paying for the clones.
-//
-// Parks whose prefix consumed no symbolic source are not deposited: such
-// a prefix is exactly reproducible from the concrete store (which the
-// detection pass and every replay feed anyway), so a symbolic snapshot
-// there would only duplicate coverage at the price of cloning the state
-// and its fork queue. The symbolic store holds what only it can hold —
-// snapshots past the symbolic-input frontier.
-func (c *Classifier) depositSym(sym *ckpt.Store, it *pathItem, work []*pathItem, eng *explore.Engine, dropped int) {
-	if it.st.In.Pos == 0 && it.st.ArgReads == 0 {
-		return
-	}
-	e := ckpt.Entry{
-		State: it.st, Ctl: it.ctl,
-		Branches: eng.Branches(), ForksUsed: c.Opts.MaxForks - eng.ForksLeft(), Dropped: dropped,
-	}
-	if len(work) > 0 {
-		e.Forks = make([]ckpt.PendingFork, len(work))
-		for i, w := range work {
-			e.Forks[i] = ckpt.PendingFork{State: w.st, Ctl: w.ctl}
-		}
-	}
-	sym.Add(e)
 }
 
 // collectPrimaries explores up to Mp primary paths that (a) follow the
@@ -220,14 +130,10 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 	space, obj := rep.Key.Space, rep.Key.Obj
 	firstLine := rep.First.PC.Line
 
-	root := c.multipathRoot(rep, tr)
-	eng.Seed(root.branches, root.forksUsed)
-	work := append([]*pathItem{root.item}, root.pending...)
-	_, sym := c.shared.storesFor(tr)
-
+	work := []*pathItem{c.multipathRoot(rep, tr)}
 	maxQueue := c.Opts.MaxQueuedForks
 	maxItems := c.Opts.MaxPathItems
-	dropped := root.dropped
+	dropped := 0
 	processed := 0
 	for len(work) > 0 && len(prims) < c.Opts.Mp && processed < maxItems && c.canceled() == nil {
 		processed++
@@ -252,10 +158,6 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 
 		m := c.newMachine(it.st, it.ctl)
 		onFork := func(sib *vm.State) {
-			// Only the mainline deposits symbolic snapshots, so forked
-			// siblings never consult the access counter — strip it before
-			// it gets cloned down the sibling's whole subtree.
-			dropAccessCounter(sib)
 			if len(work) >= maxQueue {
 				dropped++
 				return
@@ -310,12 +212,6 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 				pruned = true
 				break
 			}
-			if sym != nil && it.mainline {
-				// The mainline is parked on the recorded schedule between
-				// instructions: a clean symbolic resume point for every
-				// race further down the trace.
-				c.depositSym(sym, it, work, eng, dropped)
-			}
 			tid := it.st.Cur
 			line := currentLine(it.st)
 			switch {
@@ -329,7 +225,6 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 			case line == firstLine:
 				// (Re-)checkpoint before the most recent first access.
 				it.pre = it.st.Clone()
-				dropAccessCounter(it.pre) // enforcement clones need no counting
 				it.preTID = tid
 				m.Break = nil
 				m.Step()

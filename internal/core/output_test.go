@@ -122,15 +122,3 @@ func TestConcretizeOutputs(t *testing.T) {
 		t.Fatal("concretizeOutputs must not mutate the state")
 	}
 }
-
-func TestMergeHints(t *testing.T) {
-	a := expr.Assignment{"x": 1, "y": 2}
-	b := expr.Assignment{"y": 9, "z": 3}
-	m := mergeHints(a, b)
-	if m["x"] != 1 || m["y"] != 9 || m["z"] != 3 {
-		t.Fatalf("got %v", m)
-	}
-	if a["y"] != 2 {
-		t.Fatal("mergeHints must not mutate inputs")
-	}
-}

@@ -11,39 +11,33 @@ import (
 	"repro/internal/vm"
 )
 
-// sharedCaches bundles the per-analysis-run reuse machinery: two
-// instances of ckpt.Store — the concrete replay store (replays resume
-// from the nearest prior snapshot instead of the program's initial state
-// — populated by the detection pass and by classification replays) and
-// the exploration-mainline store (multi-path explorations resume from
-// prior explorations' mainline snapshots, pending forks included) — and the
-// memoizing solver cache (structurally identical queries are answered
-// once). RunStream creates one bundle per run and threads it through
-// every Classifier it builds; a Classifier constructed directly gets a
-// private bundle, so repeated Classify calls on one classifier still
-// reuse work.
+// sharedCaches bundles the per-analysis-run reuse machinery: the replay
+// checkpoint store (replays, and multi-path explorations whose skipped
+// prefix is symbolic-safe, resume from the nearest prior snapshot
+// instead of the program's initial state — populated by the detection
+// pass and by classification replays) and the memoizing solver cache
+// (structurally identical queries are answered once). RunStream creates
+// one bundle per run and threads it through every Classifier it builds;
+// a Classifier constructed directly gets a private bundle, so repeated
+// Classify calls on one classifier still reuse work.
 //
 // None of the caches changes a verdict: checkpoint resume is
 // deterministic replay from a state full replay would pass through
-// anyway (symbolic resumes additionally requeue the pending forks and
-// pre-charge the exploration counters the skipped prefix accumulated),
-// and the solver cache only returns results the same deterministic
-// search would recompute. The caches trade memory for time, nothing
-// else — which is what the determinism suite asserts by diffing cached
-// against uncached runs byte for byte.
+// anyway, and the solver cache only returns results the same
+// deterministic search would recompute. The caches trade memory for
+// time, nothing else — which is what the determinism suite asserts by
+// diffing cached against uncached runs byte for byte.
 type sharedCaches struct {
-	store *ckpt.Store // concrete replay checkpoints
-	sym   *ckpt.Store // exploration-mainline checkpoints
+	store *ckpt.Store // replay checkpoints
 	cache *solver.Cache
 
 	mu sync.Mutex
-	tr *trace.Trace // the trace both checkpoint stores serve
+	tr *trace.Trace // the trace the checkpoint store serves
 }
 
 func newSharedCaches() *sharedCaches {
 	return &sharedCaches{
 		store: ckpt.NewStore(ckpt.DefaultMax),
-		sym:   ckpt.NewStore(ckpt.DefaultMax),
 		cache: solver.NewCache(0),
 	}
 }
@@ -63,7 +57,7 @@ func (s *sharedCaches) unbind() {
 // bindTrace binds the bundle to tr on first use and reports whether tr
 // is the bundle's trace. Checkpoints are positions within one recorded
 // schedule; if a classifier with a private bundle is asked about a
-// different trace, the stores decline rather than resume from another
+// different trace, the store declines rather than resume from another
 // execution's states.
 func (s *sharedCaches) bindTrace(tr *trace.Trace) bool {
 	s.mu.Lock()
@@ -74,13 +68,12 @@ func (s *sharedCaches) bindTrace(tr *trace.Trace) bool {
 	return s.tr == tr
 }
 
-// storesFor returns the concrete replay and exploration-mainline
-// checkpoint stores serving tr, or nils.
-func (s *sharedCaches) storesFor(tr *trace.Trace) (store, sym *ckpt.Store) {
+// storeFor returns the replay checkpoint store serving tr, or nil.
+func (s *sharedCaches) storeFor(tr *trace.Trace) *ckpt.Store {
 	if s == nil || tr == nil || !s.bindTrace(tr) {
-		return nil, nil
+		return nil
 	}
-	return s.store, s.sym
+	return s.store
 }
 
 // solverCache returns the shared solver memo (nil when caching is off).

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/gob"
 	"fmt"
 	"math/bits"
@@ -17,9 +16,9 @@ import (
 )
 
 // This file gives CacheTier a durable form: Snapshot renders everything
-// the tier holds — concrete and symbolic checkpoints, pending forks, and
-// the solver cache — into one gob-friendly value, and
-// Restore rebuilds a tier from it after a daemon restart.
+// the tier holds — replay checkpoints and the solver cache — into one
+// gob-friendly value, and Restore rebuilds a tier from it after a daemon
+// restart.
 //
 // Soundness rests on the same determinism contract that lets a tier be
 // shared between runs at all: identical (program, args, inputs, options)
@@ -33,6 +32,11 @@ import (
 // or observer has no wire form is skipped at Snapshot time (the restored
 // tier is merely less warm), and Restore fails atomically — a decode
 // error imports nothing, leaving the tier cold but correct.
+//
+// Tier files written while the engine kept a second, exploration-mainline
+// checkpoint store carry a Sym section; TierSnapshot no longer declares
+// it, so gob skips it on decode and only the replay checkpoints and the
+// solver cache are restored.
 
 // Controller kinds of the wire form. Every controller the engine
 // deposits is serializable; an entry driven by anything else is skipped.
@@ -288,29 +292,11 @@ func decodeObs(kind string, data []byte, nGlobals int) (vm.Observer, error) {
 	return nil, fmt.Errorf("core: unknown observer kind %q", kind)
 }
 
-// ConcreteEntryWire is one concrete checkpoint in wire form.
+// ConcreteEntryWire is one replay checkpoint in wire form.
 type ConcreteEntryWire struct {
 	Steps int64
 	State *vm.StateWire
 	Ctl   *CtlWire
-}
-
-// ForkWire is one pending sibling fork in wire form.
-type ForkWire struct {
-	State *vm.StateWire
-	Ctl   *CtlWire
-}
-
-// SymEntryWire is one symbolic mainline checkpoint in wire form.
-type SymEntryWire struct {
-	Steps int64
-	State *vm.StateWire
-	Ctl   *CtlWire
-	Forks []ForkWire
-
-	Branches  int
-	ForksUsed int
-	Dropped   int
 }
 
 // SolverEntryWire is one memoized solver query; Flat references the
@@ -358,12 +344,6 @@ type TierSnapshot struct {
 	ConcreteHits    int64
 	ConcreteMisses  int64
 
-	Sym        []SymEntryWire
-	SymStride  int64
-	SymThinned int64
-	SymHits    int64
-	SymMisses  int64
-
 	Solver *SolverCacheWire
 }
 
@@ -406,31 +386,21 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 	sh.mu.Lock()
 	tr := sh.tr
 	sh.mu.Unlock()
-	cx, sx := sh.store.Export(), sh.sym.Export()
+	cx := sh.store.Export()
 	if tr == nil {
 		// Restore and BeginRun leave the binding clear until detection
 		// binds a new trace; the stored replayers still carry one, and
 		// their wire form is unreadable without it.
-		tr = replayedTrace(cx, sx)
+		tr = replayedTrace(cx)
 	}
 
 	snap := &TierSnapshot{Runs: runs}
 	if tr != nil {
 		snap.Trace = tr.Clone()
 	}
-
-	concrete, cprog := encodeEntries(cx.Entries)
-	for _, w := range concrete {
-		snap.Concrete = append(snap.Concrete, ConcreteEntryWire{Steps: w.Steps, State: w.State, Ctl: w.Ctl})
-	}
+	snap.Concrete, snap.Program = encodeEntries(cx.Entries)
 	snap.ConcreteStride, snap.ConcreteThinned = cx.Stride, cx.Thinned
 	snap.ConcreteHits, snap.ConcreteMisses = cx.Hits, cx.Misses
-	var sprog *bytecode.Program
-	snap.Sym, sprog = encodeEntries(sx.Entries)
-	snap.SymStride, snap.SymThinned = sx.Stride, sx.Thinned
-	snap.SymHits, snap.SymMisses = sx.Hits, sx.Misses
-
-	snap.Program = cmp.Or(cprog, sprog)
 	snap.Solver = encodeSolver(sh.cache.Export())
 	return snap
 }
@@ -438,29 +408,20 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 // replayedTrace returns the trace a stored replay controller follows, or
 // nil when no stored entry replays one. Under the tier's determinism
 // contract every stored replayer's trace has the same content.
-func replayedTrace(stores ...ckpt.Exported) *trace.Trace {
-	for _, x := range stores {
-		for _, e := range x.Entries {
-			if r, ok := e.Ctl.(*trace.Replayer); ok {
-				return r.T
-			}
-			for _, f := range e.Forks {
-				if r, ok := f.Ctl.(*trace.Replayer); ok {
-					return r.T
-				}
-			}
+func replayedTrace(x ckpt.Exported) *trace.Trace {
+	for _, e := range x.Entries {
+		if r, ok := e.Ctl.(*trace.Replayer); ok {
+			return r.T
 		}
 	}
 	return nil
 }
 
-// encodeEntries renders checkpoints in the symbolic wire form (a concrete
-// entry is one with no forks and zero counters) and returns them with
-// the program the first one executes. An entry with any state, observer,
-// or controller lacking a wire form is skipped whole — the snapshot is a
-// cache, and a skipped entry only costs warmth.
-func encodeEntries(es []ckpt.Entry) (out []SymEntryWire, prog *bytecode.Program) {
-next:
+// encodeEntries renders checkpoints in wire form and returns them with
+// the program the first one executes. An entry whose state, observer, or
+// controller lacks a wire form is skipped — the snapshot is a cache, and
+// a skipped entry only costs warmth.
+func encodeEntries(es []ckpt.Entry) (out []ConcreteEntryWire, prog *bytecode.Program) {
 	for _, e := range es {
 		sw, ok := vm.EncodeState(e.State, encodeObs)
 		if !ok {
@@ -470,25 +431,10 @@ next:
 		if !ok {
 			continue
 		}
-		w := SymEntryWire{
-			Steps: e.State.Steps, State: sw, Ctl: cw,
-			Branches: e.Branches, ForksUsed: e.ForksUsed, Dropped: e.Dropped,
-		}
-		for _, f := range e.Forks {
-			fsw, ok := vm.EncodeState(f.State, encodeObs)
-			if !ok {
-				continue next
-			}
-			fcw, ok := encodeCtl(f.Ctl)
-			if !ok {
-				continue next
-			}
-			w.Forks = append(w.Forks, ForkWire{State: fsw, Ctl: fcw})
-		}
 		if prog == nil {
 			prog = e.State.Prog
 		}
-		out = append(out, w)
+		out = append(out, ConcreteEntryWire{Steps: e.State.Steps, State: sw, Ctl: cw})
 	}
 	return out, prog
 }
@@ -553,50 +499,20 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 		return po, nil
 	}
 
-	// One decode path for both stores: a concrete entry is a symbolic one
-	// with no forks and zero counters.
-	decode := func(ew SymEntryWire) (ckpt.Entry, error) {
-		e := ckpt.Entry{Branches: ew.Branches, ForksUsed: ew.ForksUsed, Dropped: ew.Dropped}
-		var err error
-		if e.State, err = vm.DecodeState(prog, ew.State, decObs); err != nil {
-			return e, err
-		}
-		if e.Ctl, err = decodeCtl(ew.Ctl, tr); err != nil {
-			return e, err
-		}
-		for i, fw := range ew.Forks {
-			var f ckpt.PendingFork
-			if f.State, err = vm.DecodeState(prog, fw.State, decObs); err != nil {
-				return e, fmt.Errorf("fork %d: %w", i, err)
-			}
-			if f.Ctl, err = decodeCtl(fw.Ctl, tr); err != nil {
-				return e, fmt.Errorf("fork %d: %w", i, err)
-			}
-			e.Forks = append(e.Forks, f)
-		}
-		return e, nil
-	}
 	cx := ckpt.Exported{
 		Stride: snap.ConcreteStride, Thinned: snap.ConcreteThinned,
 		Hits: snap.ConcreteHits, Misses: snap.ConcreteMisses,
 	}
 	for _, ew := range snap.Concrete {
-		e, err := decode(SymEntryWire{Steps: ew.Steps, State: ew.State, Ctl: ew.Ctl})
+		var e ckpt.Entry
+		var err error
+		if e.State, err = vm.DecodeState(prog, ew.State, decObs); err == nil {
+			e.Ctl, err = decodeCtl(ew.Ctl, tr)
+		}
 		if err != nil {
 			return fmt.Errorf("concrete checkpoint @%d: %w", ew.Steps, err)
 		}
 		cx.Entries = append(cx.Entries, e)
-	}
-	sx := ckpt.Exported{
-		Stride: snap.SymStride, Thinned: snap.SymThinned,
-		Hits: snap.SymHits, Misses: snap.SymMisses,
-	}
-	for _, ew := range snap.Sym {
-		e, err := decode(ew)
-		if err != nil {
-			return fmt.Errorf("symbolic checkpoint @%d: %w", ew.Steps, err)
-		}
-		sx.Entries = append(sx.Entries, e)
 	}
 
 	var solverX solver.CacheExport
@@ -612,7 +528,6 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	// Everything decoded; import atomically from here on.
 	sh := t.shared
 	sh.store.Import(cx)
-	sh.sym.Import(sx)
 	if haveSolver {
 		sh.cache.Import(solverX)
 	}
@@ -651,10 +566,10 @@ func decodeSolver(w *SolverCacheWire) (solver.CacheExport, error) {
 }
 
 // MemBytes estimates the tier's resident footprint: every stored
-// checkpoint and fork state plus the solver cache's memoized entries.
+// checkpoint state plus the solver cache's memoized entries.
 // This is what the server's memory-budget registry and the
 // portend_tier_bytes gauge report instead of a flat per-tier guess.
 func (t *CacheTier) MemBytes() int64 {
 	sh := t.shared
-	return sh.store.MemBytes() + sh.sym.MemBytes() + sh.cache.MemBytes()
+	return sh.store.MemBytes() + sh.cache.MemBytes()
 }

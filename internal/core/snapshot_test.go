@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/vm"
 )
 
 // runOnTier runs one analysis against the tier, the way the server does:
@@ -141,22 +142,19 @@ func gobRoundTrip(t *testing.T, snap *TierSnapshot) *TierSnapshot {
 	return &back
 }
 
-// tierCase is one program analyzed on a tier; mainline marks a case
-// whose tier must also hold exploration-mainline checkpoints.
+// tierCase is one program analyzed on a tier.
 type tierCase struct {
-	name     string
-	src      string
-	opts     func() Options
-	inputs   []int64
-	mainline bool
+	name   string
+	src    string
+	opts   func() Options
+	inputs []int64
 }
 
-// tracelessCases are the two shapes a restored tier holds: concrete
-// replay checkpoints only, and exploration-mainline checkpoints with
-// pending forks as well.
+// tracelessCases are a concrete program and one whose exploration
+// mainline forks on a symbolic input before every race.
 var tracelessCases = []tierCase{
-	{"concrete", detectSeedSrc, snapshotTestOptions, []int64{3}, false},
-	{"mainline", siblingSkipProg, symOptions, []int64{2}, true},
+	{"concrete", detectSeedSrc, snapshotTestOptions, []int64{3}},
+	{"mainline", siblingSkipProg, symOptions, []int64{2}},
 }
 
 // TestSnapshotOfRestoredTierRestores is a regression test: a restored
@@ -209,7 +207,7 @@ func restoredTestTier(t *testing.T, tc tierCase) *CacheTier {
 	if err := tier.Restore(gobRoundTrip(t, seed.Snapshot())); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if s := tier.Stats(); s.Checkpoints == 0 || (tc.mainline && s.SymCheckpoints == 0) {
+	if s := tier.Stats(); s.Checkpoints == 0 {
 		t.Fatalf("restored tier holds too few checkpoints (%+v); the test is vacuous", s)
 	}
 	return tier
@@ -231,5 +229,61 @@ func checkReRestore(t *testing.T, from *CacheTier, snap *TierSnapshot, tc tierCa
 	warm := runOnTierWith(t, back, tc.src, tc.opts(), tc.inputs)
 	if a, b := renderRun(cold), renderRun(warm); a != b {
 		t.Errorf("re-restored tier changed verdicts\n--- cold ---\n%s\n--- re-restored ---\n%s", a, b)
+	}
+}
+
+// TestRestoreRejectsMisfitStates pins that Restore refuses checkpoint
+// states that do not fit the snapshot's program, instead of importing
+// states the next run cannot execute: the restore fails, the tier stays
+// cold, and the next run on it classifies exactly like a cold tier.
+func TestRestoreRejectsMisfitStates(t *testing.T) {
+	seed := newSnapshotTestTier()
+	runOnTier(t, seed, detectSeedSrc, []int64{3})
+	cold := renderRun(runOnTier(t, newSnapshotTestTier(), detectSeedSrc, []int64{3}))
+
+	frames := func(snap *TierSnapshot, f func(fw *vm.FrameWire)) {
+		for _, e := range snap.Concrete {
+			for i := range e.State.Threads {
+				for j := range e.State.Threads[i].Frames {
+					f(&e.State.Threads[i].Frames[j])
+				}
+			}
+		}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(snap *TierSnapshot)
+	}{
+		{"nil program", func(snap *TierSnapshot) { snap.Program = nil }},
+		{"no functions", func(snap *TierSnapshot) { snap.Program.Funcs = nil }},
+		{"no globals", func(snap *TierSnapshot) {
+			for _, e := range snap.Concrete {
+				e.State.Globals = nil
+			}
+		}},
+		{"pc past code", func(snap *TierSnapshot) { frames(snap, func(fw *vm.FrameWire) { fw.PC = 1 << 20 }) }},
+		{"function out of range", func(snap *TierSnapshot) {
+			n := len(snap.Program.Funcs)
+			frames(snap, func(fw *vm.FrameWire) { fw.Fn = n })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			snap := gobRoundTrip(t, seed.Snapshot())
+			if len(snap.Concrete) == 0 {
+				t.Fatal("seed tier holds no checkpoints; the test is vacuous")
+			}
+			tc.corrupt(snap)
+			tier := newSnapshotTestTier()
+			if err := tier.Restore(snap); err == nil {
+				t.Fatal("Restore accepted states that do not fit the program")
+			}
+			if s := tier.Stats(); s != (TierStats{}) || tier.Runs() != 0 {
+				t.Fatalf("failed Restore left the tier warm: %+v, runs %d", s, tier.Runs())
+			}
+			if got := renderRun(runOnTier(t, tier, detectSeedSrc, []int64{3})); got != cold {
+				t.Errorf("run after a failed Restore differs from a cold tier\n--- cold ---\n%s\n--- after ---\n%s", cold, got)
+			}
+		})
 	}
 }

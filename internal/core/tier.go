@@ -3,9 +3,9 @@ package core
 import "sync"
 
 // CacheTier is a run-outliving handle on the engine's reuse machinery —
-// the concrete and symbolic checkpoint stores and the memoizing solver
-// cache — for callers (portendd) that analyze the same submission
-// repeatedly and want the second run to start warm.
+// the replay checkpoint store and the memoizing solver cache — for
+// callers (portendd) that analyze the same submission repeatedly and
+// want the second run to start warm.
 //
 // Soundness contract: a tier may only be shared between runs of the
 // identical (program, args, inputs, engine options). The engine is
@@ -19,7 +19,7 @@ import "sync"
 // server enforces the key by addressing tiers with a hash of the
 // canonical submission.
 //
-// The checkpoint stores bind to one *trace.Trace by pointer identity.
+// The checkpoint store binds to one *trace.Trace by pointer identity.
 // BeginRun clears that binding when no other run is active, letting the
 // new run's trace bind; while runs overlap, later runs simply fail the
 // binding and run checkpoint-cold (sharing only the solver cache) —
@@ -38,7 +38,7 @@ type CacheTier struct {
 	pendingPreds []pendingPred
 }
 
-// NewCacheTier builds an empty tier: each checkpoint store holds up to
+// NewCacheTier builds an empty tier: the checkpoint store holds up to
 // ckpt.DefaultMax entries and the solver cache solver.DefaultCacheSize.
 // opts no longer sizes anything; the parameter stays for existing
 // callers.
@@ -47,7 +47,7 @@ func NewCacheTier(opts Options) *CacheTier {
 }
 
 // BeginRun marks a run as using the tier and returns its end function.
-// On the transition from idle, the checkpoint stores' trace binding is
+// On the transition from idle, the checkpoint store's trace binding is
 // released so the run's freshly recorded trace can bind; entry contents
 // are kept — that is the point of the tier. The returned end is
 // idempotent and must be called when the run finishes.
@@ -80,7 +80,8 @@ func (t *CacheTier) Runs() int64 {
 // TierStats is a point-in-time snapshot of a tier's cache population and
 // traffic, aggregated across every run that used it.
 //
-// SibMemoHits and SolverResizes are always zero. They counted a
+// SymHits, SymMisses, SymThinned, SibMemoHits and SolverResizes are
+// always zero. They counted an exploration-mainline checkpoint store, a
 // sibling-outcome memo and adaptive solver-cache growth that no longer
 // exist, and stay only so existing readers of the struct keep compiling.
 type TierStats struct {
@@ -89,11 +90,10 @@ type TierStats struct {
 	CheckpointMisses  int
 	CheckpointThinned int
 
-	SymCheckpoints int
-	SymHits        int
-	SymMisses      int
-	SymThinned     int
-	SibMemoHits    int
+	SymHits     int
+	SymMisses   int
+	SymThinned  int
+	SibMemoHits int
 
 	SolverEntries   int
 	SolverHits      int
@@ -104,7 +104,7 @@ type TierStats struct {
 
 // Warm reports whether the tier holds anything a new run could reuse.
 func (s TierStats) Warm() bool {
-	return s.Checkpoints > 0 || s.SymCheckpoints > 0 || s.SolverEntries > 0
+	return s.Checkpoints > 0 || s.SolverEntries > 0
 }
 
 // Stats snapshots the tier's caches.
@@ -115,11 +115,6 @@ func (t *CacheTier) Stats() TierStats {
 		CheckpointHits:    sh.store.Hits(),
 		CheckpointMisses:  sh.store.Misses(),
 		CheckpointThinned: sh.store.Thinned(),
-
-		SymCheckpoints: sh.sym.Len(),
-		SymHits:        sh.sym.Hits(),
-		SymMisses:      sh.sym.Misses(),
-		SymThinned:     sh.sym.Thinned(),
 
 		SolverEntries:   sh.cache.Len(),
 		SolverHits:      sh.cache.Hits(),

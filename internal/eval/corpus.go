@@ -42,11 +42,6 @@ type CorpusOutcome struct {
 	Truth core.Class // ground truth (valid when Known)
 	Want  core.Class // the verdict Portend is expected to produce
 	Got   core.Class // the verdict Portend produced
-
-	// SymHits is the verdict's Stats.SymCheckpointHits — surfaced so the
-	// corpus suite can assert the symbolic checkpoint store engages on
-	// input-before-race programs.
-	SymHits int
 }
 
 // CorpusResult is a full corpus evaluation.
@@ -101,7 +96,6 @@ func RunCorpus(progs []*corpus.Program, opts core.Options) *CorpusResult {
 				Truth:     exp.Truth,
 				Want:      exp.Portend,
 				Got:       v.Class,
-				SymHits:   v.Stats.SymCheckpointHits,
 			})
 		}
 	}

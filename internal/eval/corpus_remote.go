@@ -76,7 +76,6 @@ func RunCorpusRemote(ctx context.Context, c *server.Client, progs []*corpus.Prog
 				Truth:     exp.Truth,
 				Want:      exp.Portend,
 				Got:       got,
-				SymHits:   v.Stats.SymCheckpointHits,
 			})
 			return nil
 		})

@@ -63,27 +63,6 @@ func TestCorpusExpectedMatch(t *testing.T) {
 	}
 }
 
-// TestCorpusSymPrefixHits asserts the symbolic checkpoint store engages
-// on the corpus slice built for it: every sym-prefix program — input()
-// and input-dependent branches before every race — must resume at least
-// one exploration from a symbolic checkpoint (caches on, sequential).
-func TestCorpusSymPrefixHits(t *testing.T) {
-	progs := corpus.ByFamily(corpus.Default(), corpus.FamSymPrefix)
-	if len(progs) == 0 {
-		t.Fatal("no sym-prefix programs in the default suite")
-	}
-	res := RunCorpus(progs, Options(1))
-	hits := map[string]int{}
-	for _, o := range res.Outcomes {
-		hits[o.Program] += o.SymHits
-	}
-	for _, p := range progs {
-		if hits[p.Name] < 1 {
-			t.Errorf("%s: SymCheckpointHits = %d across all verdicts, want >= 1", p.Name, hits[p.Name])
-		}
-	}
-}
-
 // TestCorpusTablesDegenerate pins the report rendering on corpora the
 // divisions could choke on: an empty result, and one whose races all
 // lack labels. Both must render (with "n/a" where ratios are undefined)

@@ -26,10 +26,9 @@ import (
 type Engine struct {
 	Solver *solver.Solver
 
-	// MaxForks bounds the total number of sibling states produced by this
-	// engine across all RunForking calls (the paper's knob on the number
+	// forksLeft is the remaining budget of sibling states this engine may
+	// produce across all RunForking calls (the paper's knob on the number
 	// of paths explored, §3.3).
-	MaxForks  int
 	forksLeft int
 
 	// branches counts symbolic branch decisions encountered; it is the
@@ -42,26 +41,7 @@ func NewEngine(s *solver.Solver, maxForks int) *Engine {
 	if maxForks <= 0 {
 		maxForks = 64
 	}
-	return &Engine{Solver: s, MaxForks: maxForks, forksLeft: maxForks}
-}
-
-// ForksLeft returns the remaining fork budget.
-func (e *Engine) ForksLeft() int { return e.forksLeft }
-
-// Seed pre-charges a fresh engine with exploration a resumed mainline's
-// skipped prefix already performed: branch decisions counted and
-// fork-budget slots consumed. An exploration resumed from a symbolic
-// checkpoint must seed its engine with the checkpoint's counters, or the
-// continuation could fork more siblings (and report fewer dependent
-// branches) than the same exploration started from the root — and fork-
-// cap-bound verdicts would depend on whether a checkpoint was available.
-func (e *Engine) Seed(branches, forksUsed int) {
-	if branches > 0 {
-		e.branches += branches
-	}
-	if forksUsed > 0 {
-		e.forksLeft -= min(forksUsed, e.forksLeft)
-	}
+	return &Engine{Solver: s, forksLeft: maxForks}
 }
 
 // Branches returns the number of symbolic branch decisions encountered

@@ -135,8 +135,8 @@ fn main() {
 	if len(states) != 3 { // root + 2 forks
 		t.Fatalf("want 3 paths with budget 2, got %d", len(states))
 	}
-	if e.ForksLeft() != 0 {
-		t.Fatalf("fork budget not exhausted: %d left", e.ForksLeft())
+	if e.forksLeft != 0 {
+		t.Fatalf("fork budget not exhausted: %d left", e.forksLeft)
 	}
 }
 

@@ -243,8 +243,11 @@ func (d *Detector) OnSync(st *vm.State, ev vm.SyncEvent) {
 			d.setVC(ev.TID, d.vcOf(ev.TID).Join(mvc))
 		}
 	case vm.EvRelease:
-		d.mutexVC[ev.Obj] = d.vcOf(ev.TID).Copy()
-		d.setVC(ev.TID, d.vcOf(ev.TID).Tick(ev.TID))
+		// Copy into the mutex's own clock: nothing else references it
+		// (Join never returns its argument, CloneObs deep-copies).
+		vc := d.vcOf(ev.TID)
+		d.mutexVC[ev.Obj] = append(d.mutexVC[ev.Obj][:0], vc...)
+		d.setVC(ev.TID, vc.Tick(ev.TID))
 	case vm.EvSignal:
 		sig := d.vcOf(ev.TID)
 		for _, w := range ev.Others {

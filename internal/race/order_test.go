@@ -61,9 +61,10 @@ func TestMultiReaderReportOrder(t *testing.T) {
 	}
 }
 
-// TestDetectorAllocFree guards the detector's per-access path: once a
+// TestDetectorAllocFree guards the detector's per-event paths: once a
 // location has been seen, a read and a write of it allocate nothing —
-// for a global element and a heap cell.
+// for a global element and a heap cell — and once a mutex has been
+// released, a lock/unlock pair of it allocates nothing.
 func TestDetectorAllocFree(t *testing.T) {
 	st := &vm.State{}
 	for _, loc := range []vm.Loc{
@@ -79,5 +80,16 @@ func TestDetectorAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
 			t.Errorf("%v: read+write pair allocates %v times, want 0", loc, allocs)
 		}
+	}
+
+	// A lock/unlock pair reuses the mutex's clock.
+	d := NewDetector()
+	lockPair := func() {
+		d.OnSync(st, vm.SyncEvent{Kind: vm.EvAcquire, TID: 1, Obj: 0})
+		d.OnSync(st, vm.SyncEvent{Kind: vm.EvRelease, TID: 1, Obj: 0})
+	}
+	lockPair() // first lock
+	if allocs := testing.AllocsPerRun(100, lockPair); allocs != 0 {
+		t.Errorf("lock/unlock pair allocates %v times, want 0", allocs)
 	}
 }

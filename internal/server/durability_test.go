@@ -105,7 +105,7 @@ func TestTierSurvivesRestart(t *testing.T) {
 		// A statically-clean fast path never touches a tier; a run whose
 		// caches ended empty has nothing to persist or restore.
 		expectWarm := !first.StaticClean &&
-			(first.Tier.Checkpoints > 0 || first.Tier.SymCheckpoints > 0 || first.Tier.SolverEntries > 0)
+			(first.Tier.Checkpoints > 0 || first.Tier.SolverEntries > 0)
 		for _, width := range []int{1, 8} {
 			req := sb.req
 			req.Options = &RequestOptions{Parallel: width}

@@ -104,10 +104,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g("portend_tier_evictions_total", "Whole tiers evicted by the registry's LRU bound.", "counter", tierEvictions)
 	g("portend_tier_bytes", "Measured memory footprint of all resident cache tiers.", "gauge", tierBytes)
 	g("portend_tier_checkpoints", "Concrete replay checkpoints resident across tiers.", "gauge", agg.Checkpoints)
-	g("portend_tier_checkpoint_hits_total", "Replays resumed from a tier's concrete store.", "counter", agg.CheckpointHits)
+	g("portend_tier_checkpoint_hits_total", "Replays and explorations resumed from a tier's checkpoint store.", "counter", agg.CheckpointHits)
 	g("portend_tier_checkpoint_thinned_total", "Concrete checkpoints dropped by store thinning.", "counter", agg.CheckpointThinned)
-	g("portend_tier_sym_checkpoints", "Symbolic exploration checkpoints resident across tiers.", "gauge", agg.SymCheckpoints)
-	g("portend_tier_sym_hits_total", "Explorations resumed from a tier's symbolic store.", "counter", agg.SymHits)
 	g("portend_tier_solver_entries", "Solver memo entries resident across tiers.", "gauge", agg.SolverEntries)
 	g("portend_tier_solver_hits_total", "Solver queries answered from a tier's memo.", "counter", agg.SolverHits)
 	g("portend_tier_solver_evictions_total", "Solver memo entries evicted (LRU) across tiers.", "counter", agg.SolverEvictions)

@@ -182,8 +182,6 @@ type TierInfo struct {
 	Runs           int64 `json:"runs"`
 	Checkpoints    int   `json:"checkpoints"`
 	CheckpointHits int   `json:"checkpointHits"`
-	SymCheckpoints int   `json:"symCheckpoints"`
-	SymHits        int   `json:"symHits"`
 	SolverEntries  int   `json:"solverEntries"`
 	SolverHits     int   `json:"solverHits"`
 }

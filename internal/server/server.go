@@ -597,8 +597,6 @@ func tierInfo(t *core.CacheTier) TierInfo {
 		Runs:           t.Runs(),
 		Checkpoints:    s.Checkpoints,
 		CheckpointHits: s.CheckpointHits,
-		SymCheckpoints: s.SymCheckpoints,
-		SymHits:        s.SymHits,
 		SolverEntries:  s.SolverEntries,
 		SolverHits:     s.SolverHits,
 	}

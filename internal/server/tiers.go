@@ -174,10 +174,6 @@ func (r *tierRegistry) snapshot() (n int, evictions int64, bytes int64, agg core
 		agg.CheckpointHits += s.CheckpointHits
 		agg.CheckpointMisses += s.CheckpointMisses
 		agg.CheckpointThinned += s.CheckpointThinned
-		agg.SymCheckpoints += s.SymCheckpoints
-		agg.SymHits += s.SymHits
-		agg.SymMisses += s.SymMisses
-		agg.SymThinned += s.SymThinned
 		agg.SolverEntries += s.SolverEntries
 		agg.SolverHits += s.SolverHits
 		agg.SolverMisses += s.SolverMisses

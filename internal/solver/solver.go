@@ -136,16 +136,6 @@ type interval struct {
 
 func (iv interval) empty() bool { return iv.lo > iv.hi }
 
-func (iv interval) clamp(v int64) int64 {
-	if v < iv.lo {
-		return iv.lo
-	}
-	if v > iv.hi {
-		return iv.hi
-	}
-	return v
-}
-
 func (iv interval) contains(v int64) bool { return v >= iv.lo && v <= iv.hi }
 
 // width returns hi-lo+1 saturating at MaxInt64.

@@ -227,8 +227,13 @@ func EncodeState(st *State, encObs ObsEncoder) (w *StateWire, ok bool) {
 
 // DecodeState rebuilds a State from its wire form against prog (the
 // serialized snapshot's program, decoded once per container). decObs may
-// be nil when the wire form carries no observers.
+// be nil when the wire form carries no observers. A wire form that does
+// not fit prog — see fitsProgram — is rejected, so a corrupt or foreign
+// snapshot fails here instead of in the machine that would run it.
 func DecodeState(prog *bytecode.Program, w *StateWire, decObs ObsDecoder) (*State, error) {
+	if err := fitsProgram(prog, w); err != nil {
+		return nil, err
+	}
 	dec, err := expr.NewDecoder(w.Nodes)
 	if err != nil {
 		return nil, err
@@ -352,6 +357,44 @@ func DecodeState(prog *bytecode.Program, w *StateWire, decObs ObsDecoder) (*Stat
 
 	st.argSyms = map[int]*expr.Sym{}
 	return st, nil
+}
+
+// fitsProgram reports why w cannot be a state of prog, or nil: the
+// globals, their cells, and the mutex, cond and barrier tables must have
+// the program's sizes, and every frame must name one of its functions,
+// park at a pc in [0, len(code)] and hold at least that function's
+// locals.
+func fitsProgram(prog *bytecode.Program, w *StateWire) error {
+	if prog == nil {
+		return fmt.Errorf("vm: state wire without a program")
+	}
+	if len(w.Globals) != len(prog.Globals) {
+		return fmt.Errorf("vm: state has %d globals, program %d", len(w.Globals), len(prog.Globals))
+	}
+	for i, cells := range w.Globals {
+		if int64(len(cells)) != prog.Globals[i].Size {
+			return fmt.Errorf("vm: global %d has %d cells, program %d", i, len(cells), prog.Globals[i].Size)
+		}
+	}
+	if len(w.MutexOwners) != len(prog.Mutexes) || len(w.Conds) != len(prog.Conds) || len(w.Barriers) != len(prog.Barriers) {
+		return fmt.Errorf("vm: state has %d/%d/%d mutexes/conds/barriers, program %d/%d/%d",
+			len(w.MutexOwners), len(w.Conds), len(w.Barriers), len(prog.Mutexes), len(prog.Conds), len(prog.Barriers))
+	}
+	for _, tw := range w.Threads {
+		for _, fw := range tw.Frames {
+			if fw.Fn < 0 || fw.Fn >= len(prog.Funcs) {
+				return fmt.Errorf("vm: thread %d frame names function %d of %d", tw.ID, fw.Fn, len(prog.Funcs))
+			}
+			fn := &prog.Funcs[fw.Fn]
+			if fw.PC < 0 || fw.PC > len(fn.Code) {
+				return fmt.Errorf("vm: thread %d frame of %s parks at pc %d of %d", tw.ID, fn.Name, fw.PC, len(fn.Code))
+			}
+			if len(fw.Locals) < fn.NLocals {
+				return fmt.Errorf("vm: thread %d frame of %s has %d locals, want %d", tw.ID, fn.Name, len(fw.Locals), fn.NLocals)
+			}
+		}
+	}
+	return nil
 }
 
 // Per-object overheads for MemEstimate, in bytes: an expression cell is

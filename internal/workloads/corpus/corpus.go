@@ -76,8 +76,8 @@ const (
 	// benign early read racing the publisher (k-witness).
 	FamCondvarHandoff Family = "condvar-handoff"
 	// FamSymPrefix: input() and input-dependent branches precede every
-	// race — the shape that exercises the symbolic checkpoint store
-	// (races are redundant writes: k-witness).
+	// race — the shape where no multi-path exploration can resume from a
+	// replay checkpoint (races are redundant writes: k-witness).
 	FamSymPrefix Family = "sym-prefix"
 	// FamSolverBlind: the racy value reaches the output only behind an
 	// input gate the solver cannot satisfy (ocean §5.4): truth outDiff,

@@ -307,8 +307,8 @@ func condvarHandoff(name string, val int64) *Program {
 }
 
 // symPrefix: input() and input-dependent branches precede every race (the
-// races themselves are redundant writes). This is the shape that makes
-// the symbolic checkpoint store earn its keep — see core.depositSym.
+// races themselves are redundant writes), so every multi-path exploration
+// replays symbolically from the root — see core.multipathRoot.
 func symPrefix(name string, races, branches, pad int) *Program {
 	truth := map[string]workloads.Expected{}
 	for i := 0; i < races; i++ {

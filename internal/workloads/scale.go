@@ -114,12 +114,11 @@ func StaticPruneSource(depth, races, pad int) string {
 // the races: after a `pad`-iteration compute prefix, the `input()` read
 // and `branches` input-dependent branches execute, and only then the
 // races. With symbolic inputs enabled, every pre-race replay state has
-// consumed a symbolic read, so the concrete checkpoint store can never
-// seed multi-path exploration here; only the symbolic store — which
-// snapshots the exploration mainline past the input frontier, with the
-// branch-forked siblings still pending in the fork queue — lets races
-// after the first skip the prefix. This is the shape behind the
-// symbolic-store tests and benchmarks.
+// consumed a symbolic read, so no replay checkpoint can seed multi-path
+// exploration here: every race's exploration replays symbolically from
+// the root, while its concrete replay still resumes from the store. This
+// is the shape behind the input-first tests and the
+// Checkpoint_SymbolicPrefix benchmark.
 func SymPrefixRaceSource(races, branches, pad int) string {
 	var b strings.Builder
 	b.WriteString("// sym-prefix: input() and symbolic branches before every race.\n")

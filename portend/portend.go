@@ -110,12 +110,10 @@ func WithSeed(seed uint64) Option {
 	return func(o *core.Options) { o.Seed, o.SeedSet = seed, true }
 }
 
-// WithCaching toggles the engine's shared reuse machinery: the concrete
-// replay checkpoint store (the detection pass and earlier races deposit
-// snapshots that later replays resume from), the symbolic checkpoint
-// store (multi-path explorations resume from earlier explorations'
-// mainline snapshots, pending forks included), and the memoizing solver
-// cache. It is on by default; verdicts are byte-identical either way
+// WithCaching toggles the engine's shared reuse machinery: the replay
+// checkpoint store (the detection pass and earlier races deposit
+// snapshots that later replays and multi-path explorations resume from)
+// and the memoizing solver cache. It is on by default; verdicts are byte-identical either way
 // (the caches shift time, never outcomes), so disabling it is only
 // useful for ablation timing or to trade speed for memory.
 func WithCaching(enabled bool) Option {

@@ -91,20 +91,16 @@ type Stats struct {
 	PrimaryPaths  int `json:"primaryPaths"`
 	Alternates    int `json:"alternates"`
 
-	// CheckpointHits counts replays that resumed from the shared concrete
-	// checkpoint store — populated by the detection pass (detection-point
-	// and periodic snapshots) and by earlier classification replays —
-	// instead of the program's initial state. SymCheckpointHits counts
-	// multi-path explorations that resumed from the symbolic store:
-	// exploration-mainline snapshots (pending forks included) usable even
-	// when the skipped prefix consumed symbolic inputs. SolverCacheHits
-	// counts solver queries answered from the shared memo. All three
-	// depend on what earlier (possibly concurrent) work cached, so unlike
-	// the verdict itself they may vary between runs of different
-	// parallelism.
-	CheckpointHits    int `json:"checkpointHits"`
-	SymCheckpointHits int `json:"symCheckpointHits"`
-	SolverCacheHits   int `json:"solverCacheHits"`
+	// CheckpointHits counts replays and multi-path explorations that
+	// resumed from the shared checkpoint store — populated by the
+	// detection pass (detection-point and periodic snapshots) and by
+	// earlier classification replays — instead of the program's initial
+	// state. SolverCacheHits counts solver queries answered from the
+	// shared memo. Both depend on what earlier (possibly concurrent) work
+	// cached, so unlike the verdict itself they may vary between runs of
+	// different parallelism.
+	CheckpointHits  int `json:"checkpointHits"`
+	SolverCacheHits int `json:"solverCacheHits"`
 
 	// TruncatedPaths counts multi-path exploration the engine's caps
 	// discarded (dropped forks plus abandoned worklist items). When it is
@@ -220,7 +216,6 @@ func newVerdict(cv *core.Verdict, prog *bytecode.Program) Verdict {
 			PrimaryPaths:         cv.Stats.PrimaryPaths,
 			Alternates:           cv.Stats.Alternates,
 			CheckpointHits:       cv.Stats.CheckpointHits,
-			SymCheckpointHits:    cv.Stats.SymCheckpointHits,
 			SolverCacheHits:      cv.Stats.SolverCacheHits,
 			TruncatedPaths:       cv.Stats.TruncatedPaths,
 			FusedOps:             cv.Stats.FusedOps,

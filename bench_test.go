@@ -269,12 +269,12 @@ func BenchmarkVM_DetectionOverhead(b *testing.B) {
 }
 
 // BenchmarkCheckpoint_SharedReplay measures the shared replay-checkpoint
-// store and memoizing solver cache on the workload shape they exist for:
-// many races strung along one long trace, where every classification
-// without reuse re-interprets the whole prefix (O(races × prefix)) and
-// with reuse resumes from the nearest prior race's snapshot (O(prefix)).
-// The caches-off arm is the honest baseline — identical verdicts,
-// no reuse.
+// store on the workload shape it exists for: many races strung along one
+// long trace, where every classification without reuse re-interprets the
+// whole prefix (O(races × prefix)) and with reuse resumes from the
+// nearest prior race's snapshot (O(prefix)). The caches-off arm
+// (Options.NoCache) is the honest baseline — identical verdicts, no
+// reuse.
 func BenchmarkCheckpoint_SharedReplay(b *testing.B) {
 	src := workloads.ManyRaceSource(24, 8000)
 	w := &workloads.Workload{Name: "many-race", Source: src, Inputs: []int64{3}}
@@ -297,15 +297,14 @@ func BenchmarkCheckpoint_SharedReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpoint_SymbolicPrefix measures the caches on the
-// input-before-race shape: the input() read (and input-dependent
+// BenchmarkCheckpoint_SymbolicPrefix measures the replay checkpoint store
+// on the input-before-race shape: the input() read (and input-dependent
 // branching) precedes every race, so every pre-race replay prefix has
 // consumed a symbolic read and every multi-path exploration replays
 // symbolically from the root. What the caches-on arm still saves is the
-// replays to each race, which resume from the replay checkpoint store,
-// and the repeated path-condition queries, which the solver cache
-// answers. The caches-off arm replays every race's prefix from the root
-// — identical verdicts, no reuse.
+// replays to each race, which resume from the store. The caches-off arm
+// replays every race's prefix from the root — identical verdicts, no
+// reuse.
 func BenchmarkCheckpoint_SymbolicPrefix(b *testing.B) {
 	src := workloads.SymPrefixRaceSource(16, 6, 6000)
 	w := &workloads.Workload{Name: "sym-prefix", Source: src, Inputs: []int64{3}}

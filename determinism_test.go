@@ -32,8 +32,8 @@ func renderResult(p *bytecode.Program, res *core.Result) string {
 }
 
 // ablationArm is one configuration of the engine-internal ablation
-// gates: the worker-pool width, core.Options.NoCache (replay checkpoint
-// stores and solver memo), core.Options.NoStaticPrune (the multi-path
+// gates: the worker-pool width, core.Options.NoCache (the replay
+// checkpoint store), core.Options.NoStaticPrune (the multi-path
 // dead-item prune) and bytecode.Options.NoFuse (the superinstruction
 // overlay). Every gate shifts only work, never verdicts.
 type ablationArm struct {
@@ -157,9 +157,9 @@ func TestTightBudgetCheckpointDeterminism(t *testing.T) {
 // must only change how fast instructions dispatch, never what they
 // compute or how they are counted; the prune may only skip worklist
 // items that can neither reach the racy object nor fork. Run under
-// -race this also exercises the engine's synchronization: shared solver
-// and its cache, shared fork budget, concurrent cloning of pre-race
-// checkpoints, and concurrent access to the checkpoint store.
+// -race this also exercises the engine's synchronization: shared solver,
+// shared fork budget, concurrent cloning of pre-race checkpoints, and
+// concurrent access to the checkpoint store.
 func TestParallelDeterminism(t *testing.T) {
 	for _, w := range workloadSuite() {
 		w := w

@@ -153,10 +153,10 @@ type Options struct {
 	// Values <= 0 derive the paper-era default 4*Mp + 32.
 	MaxPathItems int
 
-	// NoCache disables the shared replay-checkpoint store and the
-	// memoizing solver cache. Verdicts are byte-identical with the caches
-	// on or off (asserted by the determinism suite); the gate exists for
-	// that assertion and for ablation timing.
+	// NoCache disables the shared replay-checkpoint store. Verdicts are
+	// byte-identical with the store on or off (asserted by the
+	// determinism suite); the gate exists for that assertion and for
+	// ablation timing.
 	NoCache bool
 
 	// NoStaticPrune disables the multi-path worklist's dead-item prune,
@@ -196,16 +196,16 @@ type Options struct {
 	// 0; without it a zero Seed falls back to DefaultOptions().Seed.
 	SeedSet bool
 
-	// Tier, when non-nil, supplies run-outliving caches (checkpoint
-	// stores, solver memo) instead of the per-run set RunStream would
-	// otherwise create. The caller owns the soundness contract: a tier
-	// may only be shared between runs of the identical (program, args,
-	// inputs, options) — see CacheTier. Ignored when NoCache is set.
+	// Tier, when non-nil, supplies a run-outliving checkpoint store
+	// instead of the per-run one RunStream would otherwise create. The
+	// caller owns the soundness contract: a tier may only be shared
+	// between runs of the identical (program, args, inputs, options) —
+	// see CacheTier. Ignored when NoCache is set.
 	Tier *CacheTier
 
-	// shared carries the per-run caches (replay checkpoints, solver
-	// memo) that RunStream threads through every classifier it builds.
-	// nil lets each Classifier create its own private set.
+	// shared carries the per-run checkpoint store that RunStream threads
+	// through every classifier it builds. nil lets each Classifier create
+	// its own private one.
 	shared *sharedCaches
 
 	// Parallel is the worker-pool width of the classification engine:
@@ -267,12 +267,10 @@ type Stats struct {
 	// CheckpointHits counts replays and multi-path explorations of this
 	// classification that resumed from the shared checkpoint store
 	// (populated by the detection pass and by earlier classification
-	// replays) instead of the program's initial state; SolverCacheHits
-	// counts solver queries answered from the shared memo. Both depend on
-	// cache warmth (what earlier — possibly concurrent — work populated),
-	// so unlike the verdict itself they may vary with pool width.
-	CheckpointHits  int
-	SolverCacheHits int
+	// replays) instead of the program's initial state. It depends on
+	// store warmth (what earlier — possibly concurrent — work populated),
+	// so unlike the verdict itself it may vary with pool width.
+	CheckpointHits int
 
 	// PrunedSchedules counts multi-path worklist items skipped by the
 	// static dead-item prune: pending exploration items none of whose
@@ -321,13 +319,6 @@ type Stats struct {
 	// may vary with pool width while the verdict does not.
 	CloneAllocs int64
 	CloneBytes  int64
-
-	// SolverCacheEvictions counts entries the shared solver memo evicted
-	// (LRU) while this race classified. The cache is run-wide, so under a
-	// parallel pool concurrent classifications' evictions land in
-	// whichever race was being timed — a warmth indicator, not a precise
-	// per-race cost.
-	SolverCacheEvictions int
 
 	Duration time.Duration
 }

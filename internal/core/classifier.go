@@ -20,11 +20,10 @@ type Classifier struct {
 	Opts Options
 	sol  *solver.Solver
 
-	// shared is the run-wide reuse machinery (replay checkpoint store,
-	// solver memo); nil when Options.NoCache disabled it. ckptHits counts
-	// this classifier's replays and multi-path explorations that resumed
-	// from the checkpoint store; it is only touched from the goroutine
-	// driving ClassifyCtx.
+	// shared is the run-wide replay checkpoint store; nil when
+	// Options.NoCache disabled it. ckptHits counts this classifier's
+	// replays and multi-path explorations that resumed from the store; it
+	// is only touched from the goroutine driving ClassifyCtx.
 	shared   *sharedCaches
 	ckptHits int
 
@@ -107,9 +106,7 @@ func New(prog *bytecode.Program, opts Options) *Classifier {
 			shared = newSharedCaches()
 		}
 	}
-	sol := solver.New(opts.Solver)
-	sol.Cache = shared.solverCache()
-	return &Classifier{Prog: prog, Opts: opts, sol: sol, shared: shared}
+	return &Classifier{Prog: prog, Opts: opts, sol: solver.New(opts.Solver), shared: shared}
 }
 
 // Classify runs the full Portend analysis on one race report: replay,
@@ -192,16 +189,15 @@ func (c *Classifier) ClassifyCtx(cctx context.Context, rep *race.Report, tr *tra
 // statsSnap is the counter baseline taken at the start of one
 // classification; finishStats turns it into per-race deltas.
 type statsSnap struct {
-	queries, cacheHits, ckptHits, evictions int
-	prunedSchedules, pathItemsRun           int
-	fused, interned, skipped                int64
-	cloneAllocs, cloneBytes                 int64
+	queries, ckptHits             int
+	prunedSchedules, pathItemsRun int
+	fused, interned, skipped      int64
+	cloneAllocs, cloneBytes       int64
 }
 
 func (c *Classifier) snapStats() statsSnap {
-	s := statsSnap{
+	return statsSnap{
 		queries:         c.sol.Queries(),
-		cacheHits:       c.sol.CacheHits(),
 		ckptHits:        c.ckptHits,
 		prunedSchedules: c.prunedSchedules,
 		pathItemsRun:    c.pathItemsRun,
@@ -211,15 +207,10 @@ func (c *Classifier) snapStats() statsSnap {
 		cloneAllocs:     c.vmCounters.CloneAllocs.Load(),
 		cloneBytes:      c.vmCounters.CloneBytes.Load(),
 	}
-	if c.sol.Cache != nil {
-		s.evictions = c.sol.Cache.Evictions()
-	}
-	return s
 }
 
 func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start time.Time) {
 	v.Stats.SolverQueries = c.sol.Queries() - snap.queries
-	v.Stats.SolverCacheHits = c.sol.CacheHits() - snap.cacheHits
 	v.Stats.CheckpointHits = c.ckptHits - snap.ckptHits
 	v.Stats.PrunedSchedules = c.prunedSchedules - snap.prunedSchedules
 	v.Stats.PathItemsRun = c.pathItemsRun - snap.pathItemsRun
@@ -228,9 +219,6 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 	v.Stats.SkippedSteps = c.vmCounters.SkippedSteps.Load() - snap.skipped
 	v.Stats.CloneAllocs = c.vmCounters.CloneAllocs.Load() - snap.cloneAllocs
 	v.Stats.CloneBytes = c.vmCounters.CloneBytes.Load() - snap.cloneBytes
-	if c.sol.Cache != nil {
-		v.Stats.SolverCacheEvictions = c.sol.Cache.Evictions() - snap.evictions
-	}
 	if mp != nil {
 		v.Stats.Branches = mp.branches
 		v.Stats.PrimaryPaths = mp.primaries

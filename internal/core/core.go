@@ -74,16 +74,14 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 		return res, err
 	}
 
-	// All races of this run share one trace, so they share one pair of
-	// checkpoint stores (concrete replay + symbolic exploration) and one
-	// memoizing solver cache. The bundle exists before detection runs:
-	// the detection pass itself deposits replay checkpoints — at each new
+	// All races of this run share one trace, so they share one replay
+	// checkpoint store. The bundle exists before detection runs: the
+	// detection pass itself deposits replay checkpoints — at each new
 	// race cluster's detection point and on a periodic cadence — so even
 	// the trace's first classification resumes instead of paying a full
-	// root replay. None of the caches can change a verdict (resume is
-	// deterministic replay, memoized answers are what the deterministic
-	// search would recompute); they only shift time, which the
-	// determinism suite asserts by diffing cached vs uncached runs.
+	// root replay. The store cannot change a verdict (resume is
+	// deterministic replay); it only shifts time, which the determinism
+	// suite asserts by diffing runs with the store on and off.
 	// A caller-supplied CacheTier replaces the per-run bundle: its
 	// contents outlive the run, so a repeat submission of the identical
 	// (program, args, inputs, options) starts warm. The tier owner calls
@@ -215,8 +213,8 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 }
 
 // detectionConfig builds the detection-phase checkpointing hooks for a
-// run backed by the given shared caches (nil — caching off — yields the
-// zero config and plain detection).
+// run backed by the given checkpoint store (nil — caching off — yields
+// the zero config and plain detection).
 //
 // Detection runs with the classifier's own observers attached (the
 // all-object access counter, and the predicate observer when predicates

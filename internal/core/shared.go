@@ -6,40 +6,33 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/ckpt"
-	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
-// sharedCaches bundles the per-analysis-run reuse machinery: the replay
-// checkpoint store (replays, and multi-path explorations whose skipped
-// prefix is symbolic-safe, resume from the nearest prior snapshot
-// instead of the program's initial state — populated by the detection
-// pass and by classification replays) and the memoizing solver cache
-// (structurally identical queries are answered once). RunStream creates
-// one bundle per run and threads it through every Classifier it builds;
-// a Classifier constructed directly gets a private bundle, so repeated
-// Classify calls on one classifier still reuse work.
+// sharedCaches is the per-analysis-run reuse machinery: the replay
+// checkpoint store, bound to the one trace it serves. Replays, and
+// multi-path explorations whose skipped prefix is symbolic-safe, resume
+// from the nearest prior snapshot instead of the program's initial
+// state; the detection pass and classification replays populate it.
+// RunStream creates one bundle per run and threads it through every
+// Classifier it builds; a Classifier constructed directly gets a
+// private bundle, so repeated Classify calls on one classifier still
+// reuse work.
 //
-// None of the caches changes a verdict: checkpoint resume is
-// deterministic replay from a state full replay would pass through
-// anyway, and the solver cache only returns results the same
-// deterministic search would recompute. The caches trade memory for
-// time, nothing else — which is what the determinism suite asserts by
-// diffing cached against uncached runs byte for byte.
+// The store never changes a verdict: checkpoint resume is deterministic
+// replay from a state full replay would pass through anyway. It trades
+// memory for time, nothing else — which is what the determinism suite
+// asserts by diffing runs with the store on and off byte for byte.
 type sharedCaches struct {
 	store *ckpt.Store // replay checkpoints
-	cache *solver.Cache
 
 	mu sync.Mutex
 	tr *trace.Trace // the trace the checkpoint store serves
 }
 
 func newSharedCaches() *sharedCaches {
-	return &sharedCaches{
-		store: ckpt.NewStore(ckpt.DefaultMax),
-		cache: solver.NewCache(0),
-	}
+	return &sharedCaches{store: ckpt.NewStore(ckpt.DefaultMax)}
 }
 
 // unbind releases the bundle's trace binding so the next run can bind
@@ -74,14 +67,6 @@ func (s *sharedCaches) storeFor(tr *trace.Trace) *ckpt.Store {
 		return nil
 	}
 	return s.store
-}
-
-// solverCache returns the shared solver memo (nil when caching is off).
-func (s *sharedCaches) solverCache() *solver.Cache {
-	if s == nil {
-		return nil
-	}
-	return s.cache
 }
 
 // counterKey addresses read counts: object class × reading thread ×

@@ -9,24 +9,21 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/ckpt"
-	"repro/internal/expr"
-	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
 
 // This file gives CacheTier a durable form: Snapshot renders everything
-// the tier holds — replay checkpoints and the solver cache — into one
-// gob-friendly value, and Restore rebuilds a tier from it after a daemon
-// restart.
+// the tier holds — its replay checkpoints — into one gob-friendly value,
+// and Restore rebuilds a tier from it after a daemon restart.
 //
 // Soundness rests on the same determinism contract that lets a tier be
 // shared between runs at all: identical (program, args, inputs, options)
 // produce an identical recorded trace, so checkpoints deserialized
 // against the snapshot's trace are states the next run's replay passes
-// through anyway. Restore leaves the shared caches' trace binding clear;
-// the next run binds its freshly recorded trace while restored replay
-// controllers keep the deserialized (content-identical) one.
+// through anyway. Restore leaves the checkpoint store's trace binding
+// clear; the next run binds its freshly recorded trace while restored
+// replay controllers keep the deserialized (content-identical) one.
 //
 // Persistence is a cache, never an obligation: an entry whose controller
 // or observer has no wire form is skipped at Snapshot time (the restored
@@ -34,9 +31,9 @@ import (
 // error imports nothing, leaving the tier cold but correct.
 //
 // Tier files written while the engine kept a second, exploration-mainline
-// checkpoint store carry a Sym section; TierSnapshot no longer declares
-// it, so gob skips it on decode and only the replay checkpoints and the
-// solver cache are restored.
+// checkpoint store carry a Sym section, and files written while it kept a
+// solver cache carry a Solver section. TierSnapshot declares neither, so
+// gob skips both on decode and only the replay checkpoints are restored.
 
 // Controller kinds of the wire form. Every controller the engine
 // deposits is serializable; an entry driven by anything else is skipped.
@@ -299,30 +296,6 @@ type ConcreteEntryWire struct {
 	Ctl   *CtlWire
 }
 
-// SolverEntryWire is one memoized solver query; Flat references the
-// solver section's shared node table.
-type SolverEntryWire struct {
-	Flat  []int32
-	Binds []solver.BindingExport
-
-	HasModel   bool
-	ModelNames []string
-	ModelVals  []int64
-
-	Res solver.Result
-}
-
-// SolverCacheWire is the solver cache in wire form, entries in LRU order
-// (most recently used first) over one shared expression node table.
-type SolverCacheWire struct {
-	Nodes   []expr.NodeWire
-	Entries []SolverEntryWire
-
-	Hits      int64
-	Misses    int64
-	Evictions int64
-}
-
 // TierSnapshot is the durable form of a CacheTier. All fields are
 // exported and gob-friendly; internal/dstore frames and checksums the
 // encoded bytes.
@@ -343,8 +316,6 @@ type TierSnapshot struct {
 	ConcreteThinned int64
 	ConcreteHits    int64
 	ConcreteMisses  int64
-
-	Solver *SolverCacheWire
 }
 
 // Snapshot renders the tier's current content into its durable form.
@@ -401,7 +372,6 @@ func (t *CacheTier) snapshotLocked() *TierSnapshot {
 	snap.Concrete, snap.Program = encodeEntries(cx.Entries)
 	snap.ConcreteStride, snap.ConcreteThinned = cx.Stride, cx.Thinned
 	snap.ConcreteHits, snap.ConcreteMisses = cx.Hits, cx.Misses
-	snap.Solver = encodeSolver(sh.cache.Export())
 	return snap
 }
 
@@ -437,35 +407,6 @@ func encodeEntries(es []ckpt.Entry) (out []ConcreteEntryWire, prog *bytecode.Pro
 		out = append(out, ConcreteEntryWire{Steps: e.State.Steps, State: sw, Ctl: cw})
 	}
 	return out, prog
-}
-
-// encodeSolver renders a solver cache export over one shared node table.
-func encodeSolver(x solver.CacheExport) *SolverCacheWire {
-	w := &SolverCacheWire{Hits: x.Hits, Misses: x.Misses, Evictions: x.Evictions}
-	enc := expr.NewEncoder()
-	for _, e := range x.Entries {
-		ew := SolverEntryWire{
-			Flat:  enc.AddList(e.Flat),
-			Binds: e.Binds,
-			Res:   e.Res,
-		}
-		if e.Model != nil {
-			ew.HasModel = true
-			names := make([]string, 0, len(e.Model))
-			for n := range e.Model {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			ew.ModelNames = names
-			ew.ModelVals = make([]int64, len(names))
-			for i, n := range names {
-				ew.ModelVals[i] = e.Model[n]
-			}
-		}
-		w.Entries = append(w.Entries, ew)
-	}
-	w.Nodes = enc.Nodes()
-	return w
 }
 
 // Restore rebuilds the tier's content from a snapshot. It is atomic: any
@@ -515,22 +456,8 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 		cx.Entries = append(cx.Entries, e)
 	}
 
-	var solverX solver.CacheExport
-	haveSolver := false
-	if snap.Solver != nil {
-		x, err := decodeSolver(snap.Solver)
-		if err != nil {
-			return err
-		}
-		solverX, haveSolver = x, true
-	}
-
 	// Everything decoded; import atomically from here on.
-	sh := t.shared
-	sh.store.Import(cx)
-	if haveSolver {
-		sh.cache.Import(solverX)
-	}
+	t.shared.store.Import(cx)
 	t.mu.Lock()
 	t.runs = snap.Runs
 	t.pendingPreds = pend
@@ -538,38 +465,9 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	return nil
 }
 
-// decodeSolver rebuilds a solver cache export from its wire form.
-func decodeSolver(w *SolverCacheWire) (solver.CacheExport, error) {
-	x := solver.CacheExport{Hits: w.Hits, Misses: w.Misses, Evictions: w.Evictions}
-	dec, err := expr.NewDecoder(w.Nodes)
-	if err != nil {
-		return x, fmt.Errorf("solver cache: %w", err)
-	}
-	for i, ew := range w.Entries {
-		flat, err := dec.GetList(ew.Flat)
-		if err != nil {
-			return x, fmt.Errorf("solver entry %d: %w", i, err)
-		}
-		e := solver.CacheEntryExport{Flat: flat, Binds: ew.Binds, Res: ew.Res}
-		if ew.HasModel {
-			if len(ew.ModelNames) != len(ew.ModelVals) {
-				return x, fmt.Errorf("solver entry %d: model name/value mismatch", i)
-			}
-			e.Model = make(expr.Assignment, len(ew.ModelNames))
-			for j, n := range ew.ModelNames {
-				e.Model[n] = ew.ModelVals[j]
-			}
-		}
-		x.Entries = append(x.Entries, e)
-	}
-	return x, nil
-}
-
 // MemBytes estimates the tier's resident footprint: every stored
-// checkpoint state plus the solver cache's memoized entries.
-// This is what the server's memory-budget registry and the
-// portend_tier_bytes gauge report instead of a flat per-tier guess.
+// checkpoint state. This is what the server's memory-budget registry and
+// the portend_tier_bytes gauge report instead of a flat per-tier guess.
 func (t *CacheTier) MemBytes() int64 {
-	sh := t.shared
-	return sh.store.MemBytes() + sh.cache.MemBytes()
+	return t.shared.store.MemBytes()
 }

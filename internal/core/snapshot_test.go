@@ -232,44 +232,120 @@ func checkReRestore(t *testing.T, from *CacheTier, snap *TierSnapshot, tc tierCa
 	}
 }
 
+// syncSeedSrc races on x after a barrier, and declares a mutex and a
+// cond, so its checkpoint states carry one entry in each sync table for
+// the misfit cases below to corrupt.
+const syncSeedSrc = `
+var x = 0
+var acc = 0
+mutex m
+cond c
+barrier b(2)
+fn w() {
+	lock(m)
+	unlock(m)
+	barrier_wait(b)
+	x = 7
+}
+fn main() {
+	for i = 0, 200 { acc = acc + 1 }
+	let t = spawn w()
+	barrier_wait(b)
+	x = 1
+	join(t)
+	lock(m)
+	signal(c)
+	unlock(m)
+	print("x=", x)
+}`
+
 // TestRestoreRejectsMisfitStates pins that Restore refuses checkpoint
 // states that do not fit the snapshot's program, instead of importing
 // states the next run cannot execute: the restore fails, the tier stays
 // cold, and the next run on it classifies exactly like a cold tier.
 func TestRestoreRejectsMisfitStates(t *testing.T) {
-	seed := newSnapshotTestTier()
-	runOnTier(t, seed, detectSeedSrc, []int64{3})
-	cold := renderRun(runOnTier(t, newSnapshotTestTier(), detectSeedSrc, []int64{3}))
+	type seeded struct {
+		tier *CacheTier
+		cold string
+	}
+	seeds := map[string]seeded{}
+	for _, src := range []string{detectSeedSrc, syncSeedSrc} {
+		tier := newSnapshotTestTier()
+		runOnTier(t, tier, src, []int64{3})
+		seeds[src] = seeded{tier, renderRun(runOnTier(t, newSnapshotTestTier(), src, []int64{3}))}
+	}
 
-	frames := func(snap *TierSnapshot, f func(fw *vm.FrameWire)) {
+	states := func(snap *TierSnapshot, f func(sw *vm.StateWire)) {
 		for _, e := range snap.Concrete {
-			for i := range e.State.Threads {
-				for j := range e.State.Threads[i].Frames {
-					f(&e.State.Threads[i].Frames[j])
-				}
-			}
+			f(e.State)
 		}
+	}
+	threads := func(snap *TierSnapshot, f func(tw *vm.ThreadWire, n int)) {
+		states(snap, func(sw *vm.StateWire) {
+			for i := range sw.Threads {
+				f(&sw.Threads[i], len(sw.Threads))
+			}
+		})
+	}
+	frames := func(snap *TierSnapshot, f func(fw *vm.FrameWire)) {
+		threads(snap, func(tw *vm.ThreadWire, _ int) {
+			for j := range tw.Frames {
+				f(&tw.Frames[j])
+			}
+		})
 	}
 	cases := []struct {
 		name    string
+		src     string
 		corrupt func(snap *TierSnapshot)
 	}{
-		{"nil program", func(snap *TierSnapshot) { snap.Program = nil }},
-		{"no functions", func(snap *TierSnapshot) { snap.Program.Funcs = nil }},
-		{"no globals", func(snap *TierSnapshot) {
-			for _, e := range snap.Concrete {
-				e.State.Globals = nil
-			}
+		{"nil program", detectSeedSrc, func(snap *TierSnapshot) { snap.Program = nil }},
+		{"no functions", detectSeedSrc, func(snap *TierSnapshot) { snap.Program.Funcs = nil }},
+		{"no globals", detectSeedSrc, func(snap *TierSnapshot) {
+			states(snap, func(sw *vm.StateWire) { sw.Globals = nil })
 		}},
-		{"pc past code", func(snap *TierSnapshot) { frames(snap, func(fw *vm.FrameWire) { fw.PC = 1 << 20 }) }},
-		{"function out of range", func(snap *TierSnapshot) {
+		{"pc past code", detectSeedSrc, func(snap *TierSnapshot) { frames(snap, func(fw *vm.FrameWire) { fw.PC = 1 << 20 }) }},
+		{"function out of range", detectSeedSrc, func(snap *TierSnapshot) {
 			n := len(snap.Program.Funcs)
 			frames(snap, func(fw *vm.FrameWire) { fw.Fn = n })
+		}},
+		{"cur names no thread", detectSeedSrc, func(snap *TierSnapshot) {
+			states(snap, func(sw *vm.StateWire) { sw.Cur = len(sw.Threads) })
+		}},
+		{"thread id not its index", detectSeedSrc, func(snap *TierSnapshot) {
+			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.ID++ })
+		}},
+		{"status out of range", detectSeedSrc, func(snap *TierSnapshot) {
+			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.Status = uint8(vm.ThExited) + 1 })
+		}},
+		{"wait mutex out of range", syncSeedSrc, func(snap *TierSnapshot) {
+			n := len(snap.Program.Mutexes)
+			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitMutex = n })
+		}},
+		{"wait cond out of range", syncSeedSrc, func(snap *TierSnapshot) {
+			n := len(snap.Program.Conds)
+			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitCond = n })
+		}},
+		{"wait barrier below none", syncSeedSrc, func(snap *TierSnapshot) {
+			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitBarrier = -2 })
+		}},
+		{"wait join names no thread", detectSeedSrc, func(snap *TierSnapshot) {
+			threads(snap, func(tw *vm.ThreadWire, n int) { tw.WaitJoin = n })
+		}},
+		{"mutex owner names no thread", syncSeedSrc, func(snap *TierSnapshot) {
+			states(snap, func(sw *vm.StateWire) { sw.MutexOwners[0] = len(sw.Threads) })
+		}},
+		{"cond waiter names no thread", syncSeedSrc, func(snap *TierSnapshot) {
+			states(snap, func(sw *vm.StateWire) { sw.Conds[0] = append(sw.Conds[0], len(sw.Threads)) })
+		}},
+		{"barrier arrival names no thread", syncSeedSrc, func(snap *TierSnapshot) {
+			states(snap, func(sw *vm.StateWire) { sw.Barriers[0] = append(sw.Barriers[0], -1) })
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			snap := gobRoundTrip(t, seed.Snapshot())
+			seed := seeds[tc.src]
+			snap := gobRoundTrip(t, seed.tier.Snapshot())
 			if len(snap.Concrete) == 0 {
 				t.Fatal("seed tier holds no checkpoints; the test is vacuous")
 			}
@@ -281,8 +357,8 @@ func TestRestoreRejectsMisfitStates(t *testing.T) {
 			if s := tier.Stats(); s != (TierStats{}) || tier.Runs() != 0 {
 				t.Fatalf("failed Restore left the tier warm: %+v, runs %d", s, tier.Runs())
 			}
-			if got := renderRun(runOnTier(t, tier, detectSeedSrc, []int64{3})); got != cold {
-				t.Errorf("run after a failed Restore differs from a cold tier\n--- cold ---\n%s\n--- after ---\n%s", cold, got)
+			if got := renderRun(runOnTier(t, tier, tc.src, []int64{3})); got != seed.cold {
+				t.Errorf("run after a failed Restore differs from a cold tier\n--- cold ---\n%s\n--- after ---\n%s", seed.cold, got)
 			}
 		})
 	}

@@ -3,9 +3,8 @@ package core
 import "sync"
 
 // CacheTier is a run-outliving handle on the engine's reuse machinery —
-// the replay checkpoint store and the memoizing solver cache — for
-// callers (portendd) that analyze the same submission repeatedly and
-// want the second run to start warm.
+// the replay checkpoint store — for callers (portendd) that analyze the
+// same submission repeatedly and want the second run to start warm.
 //
 // Soundness contract: a tier may only be shared between runs of the
 // identical (program, args, inputs, engine options). The engine is
@@ -13,17 +12,15 @@ import "sync"
 // instruction for instruction — so checkpoints deposited against one
 // run's trace are states the next run's replay would pass through
 // anyway, and resuming from them cannot change a verdict (the same
-// argument the determinism suite pins for within-run cache reuse). The
-// solver cache needs no key at all: Solve is a pure function of the
-// query, so cross-run (even cross-program) hits are always sound. The
-// server enforces the key by addressing tiers with a hash of the
-// canonical submission.
+// argument the determinism suite pins for within-run reuse). The server
+// enforces the key by addressing tiers with a hash of the canonical
+// submission.
 //
 // The checkpoint store binds to one *trace.Trace by pointer identity.
 // BeginRun clears that binding when no other run is active, letting the
 // new run's trace bind; while runs overlap, later runs simply fail the
-// binding and run checkpoint-cold (sharing only the solver cache) —
-// degraded warmth, never degraded correctness.
+// binding and run checkpoint-cold — degraded warmth, never degraded
+// correctness.
 type CacheTier struct {
 	shared *sharedCaches
 
@@ -38,10 +35,9 @@ type CacheTier struct {
 	pendingPreds []pendingPred
 }
 
-// NewCacheTier builds an empty tier: the checkpoint store holds up to
-// ckpt.DefaultMax entries and the solver cache solver.DefaultCacheSize.
-// opts no longer sizes anything; the parameter stays for existing
-// callers.
+// NewCacheTier builds an empty tier whose checkpoint store holds up to
+// ckpt.DefaultMax entries. opts no longer sizes anything; the parameter
+// stays for existing callers.
 func NewCacheTier(opts Options) *CacheTier {
 	return &CacheTier{shared: newSharedCaches()}
 }
@@ -80,10 +76,11 @@ func (t *CacheTier) Runs() int64 {
 // TierStats is a point-in-time snapshot of a tier's cache population and
 // traffic, aggregated across every run that used it.
 //
-// SymHits, SymMisses, SymThinned, SibMemoHits and SolverResizes are
-// always zero. They counted an exploration-mainline checkpoint store, a
-// sibling-outcome memo and adaptive solver-cache growth that no longer
-// exist, and stay only so existing readers of the struct keep compiling.
+// SymHits, SymMisses, SymThinned, SibMemoHits, SolverHits, SolverMisses,
+// SolverEvictions and SolverResizes are always zero. They counted an
+// exploration-mainline checkpoint store, a sibling-outcome memo and a
+// solver cache that no longer exist, and stay only so existing readers
+// of the struct keep compiling.
 type TierStats struct {
 	Checkpoints       int
 	CheckpointHits    int
@@ -95,7 +92,6 @@ type TierStats struct {
 	SymThinned  int
 	SibMemoHits int
 
-	SolverEntries   int
 	SolverHits      int
 	SolverMisses    int
 	SolverEvictions int
@@ -104,21 +100,16 @@ type TierStats struct {
 
 // Warm reports whether the tier holds anything a new run could reuse.
 func (s TierStats) Warm() bool {
-	return s.Checkpoints > 0 || s.SolverEntries > 0
+	return s.Checkpoints > 0
 }
 
-// Stats snapshots the tier's caches.
+// Stats snapshots the tier's checkpoint store.
 func (t *CacheTier) Stats() TierStats {
-	sh := t.shared
+	st := t.shared.store
 	return TierStats{
-		Checkpoints:       sh.store.Len(),
-		CheckpointHits:    sh.store.Hits(),
-		CheckpointMisses:  sh.store.Misses(),
-		CheckpointThinned: sh.store.Thinned(),
-
-		SolverEntries:   sh.cache.Len(),
-		SolverHits:      sh.cache.Hits(),
-		SolverMisses:    sh.cache.Misses(),
-		SolverEvictions: sh.cache.Evictions(),
+		Checkpoints:       st.Len(),
+		CheckpointHits:    st.Hits(),
+		CheckpointMisses:  st.Misses(),
+		CheckpointThinned: st.Thinned(),
 	}
 }

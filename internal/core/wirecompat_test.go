@@ -124,11 +124,12 @@ func TestTierWireCompat(t *testing.T) {
 // build that still had the sibling-outcome memo, the adaptive
 // solver-cache cap and the exploration-mainline checkpoint store:
 // siblingSkipProg analyzed on a tier with NoStaticPrune (symOptions).
-// Unlike tier_v1.golden it carries wire fields the decoder no longer
-// declares — the Sym section of mainline checkpoints with their pending
-// forks and fork IDs, a memo table, and the solver section's Cap,
-// Resizes and per-entry SearchNodes — which gob skips. Nothing can write
-// those fields any more, so the fixture has no regeneration path.
+// Both fixtures carry a Solver section (the deleted solver cache) that
+// the decoder no longer declares; this one also carries the Sym section
+// of mainline checkpoints with their pending forks and fork IDs, a memo
+// table, and the solver section's Cap, Resizes and per-entry
+// SearchNodes. gob skips all of them. Nothing can write those fields
+// any more, so the fixture has no regeneration path.
 const tierSymGoldenPath = "testdata/tier_v1_sym.golden"
 
 // siblingSkipProg forks an else-arm sibling on input() that bypasses

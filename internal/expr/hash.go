@@ -11,9 +11,7 @@ package expr
 //
 // The hash is a pure function of structure: structurally equal
 // expressions always hash equal, so a hash mismatch proves inequality
-// (the fast path in Equal) and the solver cache can key queries by hash,
-// verifying the rare same-hash candidates with a structural comparison
-// instead of rendering strings.
+// (the fast path in Equal).
 //
 // A memoized hash is never 0; the zero value marks nodes built outside
 // the constructors (struct literals in tests), for which Hash recomputes
@@ -36,9 +34,9 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// HashString is allocation-free FNV-1a over s. Compose the result with
+// hashString is allocation-free FNV-1a over s. Compose the result with
 // Mix64 to spread the (weakly mixed) FNV state across all 64 bits.
-func HashString(s string) uint64 {
+func hashString(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -70,7 +68,7 @@ func hashConst(v int64) uint64 {
 }
 
 func hashSym(name string) uint64 {
-	return nonzero(Mix64(HashString(name) ^ hashSeedSym))
+	return nonzero(Mix64(hashString(name) ^ hashSeedSym))
 }
 
 func hashUnary(op Op, xh uint64) uint64 {
@@ -128,15 +126,4 @@ func memoHash(e Expr) uint64 {
 		return v.h
 	}
 	return 0
-}
-
-// HashList folds the hashes of es in order into one value; the solver
-// cache uses it to key flattened conjunct lists. Order-sensitive, like
-// the computation it keys.
-func HashList(es []Expr) uint64 {
-	h := uint64(0x2545f4914f6cdd1d)
-	for _, e := range es {
-		h = Mix64(h ^ Hash(e))
-	}
-	return h
 }

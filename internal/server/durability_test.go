@@ -103,9 +103,8 @@ func TestTierSurvivesRestart(t *testing.T) {
 	for _, sb := range subs {
 		first := coldDone[sb.name]
 		// A statically-clean fast path never touches a tier; a run whose
-		// caches ended empty has nothing to persist or restore.
-		expectWarm := !first.StaticClean &&
-			(first.Tier.Checkpoints > 0 || first.Tier.SolverEntries > 0)
+		// checkpoint store ended empty has nothing to persist or restore.
+		expectWarm := !first.StaticClean && first.Tier.Checkpoints > 0
 		for _, width := range []int{1, 8} {
 			req := sb.req
 			req.Options = &RequestOptions{Parallel: width}

@@ -182,8 +182,6 @@ type TierInfo struct {
 	Runs           int64 `json:"runs"`
 	Checkpoints    int   `json:"checkpoints"`
 	CheckpointHits int   `json:"checkpointHits"`
-	SolverEntries  int   `json:"solverEntries"`
-	SolverHits     int   `json:"solverHits"`
 }
 
 // LintIssue is one static diagnostic attached to a 422 rejection.

@@ -70,8 +70,8 @@ type Config struct {
 // estTierMB is the per-tier memory estimate that derives the default
 // tier-count bound from MemoryBudgetMB: 256 MB / 8 MB = 32 tiers. It
 // dates from before copy-on-write snapshots (64 checkpoints × ~2 stores
-// × ~50KB state clones, plus the solver memo, rounded up) and is now far
-// too high. The 63-program labeled corpus measures about 0.4 MB of
+// × ~50KB state clones, plus a solver memo the engine no longer keeps,
+// rounded up) and is now far too high. The 63-program labeled corpus measures about 0.4 MB of
 // portend_tier_bytes in total, yet its cold pass evicts 31 tiers by
 // count, and with a data dir every request of a warm pass reloads its
 // tier from disk (63 portend_tier_restores_total per pass). So this
@@ -597,8 +597,6 @@ func tierInfo(t *core.CacheTier) TierInfo {
 		Runs:           t.Runs(),
 		Checkpoints:    s.Checkpoints,
 		CheckpointHits: s.CheckpointHits,
-		SolverEntries:  s.SolverEntries,
-		SolverHits:     s.SolverHits,
 	}
 }
 

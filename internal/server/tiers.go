@@ -67,8 +67,8 @@ func keyFor(req *Request, opts core.Options) tierKey {
 }
 
 // tierRegistry is the LRU-bounded map from submission key to its
-// persistent cache tier. Eviction drops whole tiers (their stores and
-// solver memo) — the memory budget is enforced at tier granularity,
+// persistent cache tier. Eviction drops whole tiers (their checkpoint
+// stores) — the memory budget is enforced at tier granularity,
 // against measured tier footprints (core.CacheTier.MemBytes), with a
 // hard tier-count bound on top (which binds first; see estTierMB).
 type tierRegistry struct {
@@ -174,10 +174,6 @@ func (r *tierRegistry) snapshot() (n int, evictions int64, bytes int64, agg core
 		agg.CheckpointHits += s.CheckpointHits
 		agg.CheckpointMisses += s.CheckpointMisses
 		agg.CheckpointThinned += s.CheckpointThinned
-		agg.SolverEntries += s.SolverEntries
-		agg.SolverHits += s.SolverHits
-		agg.SolverMisses += s.SolverMisses
-		agg.SolverEvictions += s.SolverEvictions
 	}
 	return len(r.m), r.evictions, bytes, agg
 }

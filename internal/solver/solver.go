@@ -93,25 +93,12 @@ type Solver struct {
 	// query can only make the classifier more conservative, not wrong.
 	Interrupt func() bool
 
-	// Cache, when non-nil, memoizes Solve results by canonical query
-	// form. It may be shared with other Solvers built from the same
-	// Options; set it before the first query. Interrupted queries are
-	// never cached (their Unknown is a cancellation artifact, not an
-	// answer).
-	Cache *Cache
-
-	queries   atomic.Int64
-	cacheHits atomic.Int64
+	queries atomic.Int64
 }
 
 // Queries returns the number of Solve calls answered so far (Table 4
 // style instrumentation).
 func (s *Solver) Queries() int { return int(s.queries.Load()) }
-
-// CacheHits returns how many of this solver's queries were answered from
-// the attached Cache. The counter is per-solver even when the cache is
-// shared, which is what lets the engine attribute hits to one race.
-func (s *Solver) CacheHits() int { return int(s.cacheHits.Load()) }
 
 // New returns a Solver with the given options, falling back to defaults
 // for zero fields.
@@ -417,12 +404,6 @@ func moveToFront(vals []int64, v int64) {
 // concolic seed of the forking state is tried first, which keeps witness
 // models close to the observed execution. On Sat the returned assignment
 // binds every variable occurring in the constraints.
-//
-// With a Cache attached, queries whose canonical form (flattened
-// conjuncts + the hints of their variables) was already decided are
-// answered from the cache; the answer is identical to what a fresh
-// search would produce, so caching never changes a caller-visible
-// outcome.
 func (s *Solver) Solve(constraints []expr.Expr, hints expr.Assignment) (expr.Assignment, Result) {
 	s.queries.Add(1)
 	flat, ok := splitConjuncts(constraints)
@@ -443,33 +424,19 @@ func (s *Solver) Solve(constraints []expr.Expr, hints expr.Assignment) (expr.Ass
 		names = append(names, n)
 	}
 	sort.Strings(names)
-
-	var key uint64
-	if s.Cache != nil {
-		key = queryHash(flat, names, hints)
-		if model, res, hit := s.Cache.get(key, flat, names, hints); hit {
-			s.cacheHits.Add(1)
-			return model, res
-		}
-	}
-	model, res, interrupted := s.search(flat, names, hints)
-	if s.Cache != nil && !interrupted {
-		s.Cache.put(key, flat, names, hints, model, res)
-	}
-	return model, res
+	return s.search(flat, names, hints)
 }
 
 // search runs the actual decision procedure on an already-flattened
-// conjunction. interrupted reports that the Unknown result came from the
-// Interrupt hook rather than the search budget.
-func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment) (expr.Assignment, Result, bool) {
+// conjunction.
+func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment) (expr.Assignment, Result) {
 	// Domains and propagation.
 	domains := make(map[string]*interval, len(names))
 	for _, n := range names {
 		domains[n] = &interval{lo: -s.opts.DomainRadius, hi: s.opts.DomainRadius}
 	}
 	if !propagate(flat, domains) {
-		return nil, Unsat, false
+		return nil, Unsat
 	}
 
 	// Candidate sets.
@@ -481,9 +448,9 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		vals, complete := s.candidates(*domains[n], consts, hint, hasHint)
 		if len(vals) == 0 {
 			if complete {
-				return nil, Unsat, false
+				return nil, Unsat
 			}
-			return nil, Unknown, false
+			return nil, Unknown
 		}
 		cand[i] = vals
 		allComplete = allComplete && complete
@@ -577,12 +544,12 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		for k, v := range env {
 			model[k] = v
 		}
-		return model, Sat, false
+		return model, Sat
 	}
 	if nodes > s.opts.MaxNodes || interrupted || !allComplete {
-		return nil, Unknown, interrupted
+		return nil, Unknown
 	}
-	return nil, Unsat, false
+	return nil, Unsat
 }
 
 // MayBeTrue reports whether cond can be true under the path condition.

@@ -239,6 +239,19 @@ func TestUnknownOnHugeDomain(t *testing.T) {
 	}
 }
 
+// TestInterruptAnswersUnknown: a query aborted by the Interrupt hook
+// answers Unknown — a cancellation never claims Unsat.
+func TestInterruptAnswersUnknown(t *testing.T) {
+	s := New(Options{})
+	s.Interrupt = func() bool { return true }
+	// A two-variable nonlinear query with no candidate solution keeps the
+	// backtracking search running long enough to hit the interrupt poll.
+	q := []expr.Expr{expr.Eq(expr.NewBinary(expr.OpMul, sym("x"), sym("y")), ci((1<<40)+3))}
+	if _, r := s.Solve(q, nil); r != Unknown {
+		t.Fatalf("interrupted query = %v, want Unknown", r)
+	}
+}
+
 func TestStatsAccumulate(t *testing.T) {
 	s := New(Options{})
 	s.Solve([]expr.Expr{expr.Gt(sym("x"), ci(0))}, nil)

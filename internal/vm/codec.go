@@ -361,9 +361,15 @@ func DecodeState(prog *bytecode.Program, w *StateWire, decObs ObsDecoder) (*Stat
 
 // fitsProgram reports why w cannot be a state of prog, or nil: the
 // globals, their cells, and the mutex, cond and barrier tables must have
-// the program's sizes, and every frame must name one of its functions,
-// park at a pc in [0, len(code)] and hold at least that function's
-// locals.
+// the program's sizes; Cur, every mutex owner, cond waiter and barrier
+// arrival must name one of the state's threads (an owner may be -1,
+// free); every thread's ID must be its index, its status one of the six
+// ThreadStatus values, and its WaitMutex, WaitCond and WaitBarrier must
+// name an entry of the program's tables and its WaitJoin a thread (-1,
+// none, is allowed for all four); and every frame must name one of the
+// program's functions, park at a pc in [0, len(code)] and hold at least
+// that function's locals. Operand-stack depths are not checked: the
+// compiler records no per-pc stack heights to check them against.
 func fitsProgram(prog *bytecode.Program, w *StateWire) error {
 	if prog == nil {
 		return fmt.Errorf("vm: state wire without a program")
@@ -380,7 +386,37 @@ func fitsProgram(prog *bytecode.Program, w *StateWire) error {
 		return fmt.Errorf("vm: state has %d/%d/%d mutexes/conds/barriers, program %d/%d/%d",
 			len(w.MutexOwners), len(w.Conds), len(w.Barriers), len(prog.Mutexes), len(prog.Conds), len(prog.Barriers))
 	}
-	for _, tw := range w.Threads {
+	n := len(w.Threads)
+	if w.Cur < 0 || w.Cur >= n {
+		return fmt.Errorf("vm: current thread %d of %d", w.Cur, n)
+	}
+	for i, o := range w.MutexOwners {
+		if !noneOrBelow(o, n) {
+			return fmt.Errorf("vm: mutex %d owned by thread %d of %d", i, o, n)
+		}
+	}
+	for i, ws := range w.Conds {
+		if !allBelow(ws, n) {
+			return fmt.Errorf("vm: cond %d waiters %v outside %d threads", i, ws, n)
+		}
+	}
+	for i, as := range w.Barriers {
+		if !allBelow(as, n) {
+			return fmt.Errorf("vm: barrier %d arrivals %v outside %d threads", i, as, n)
+		}
+	}
+	for i, tw := range w.Threads {
+		if tw.ID != i {
+			return fmt.Errorf("vm: thread %d has id %d", i, tw.ID)
+		}
+		if ThreadStatus(tw.Status) > ThExited {
+			return fmt.Errorf("vm: thread %d has status %d", i, tw.Status)
+		}
+		if !noneOrBelow(tw.WaitMutex, len(prog.Mutexes)) || !noneOrBelow(tw.WaitCond, len(prog.Conds)) ||
+			!noneOrBelow(tw.WaitBarrier, len(prog.Barriers)) || !noneOrBelow(tw.WaitJoin, n) {
+			return fmt.Errorf("vm: thread %d waits on mutex/cond/barrier/thread %d/%d/%d/%d, tables %d/%d/%d/%d",
+				i, tw.WaitMutex, tw.WaitCond, tw.WaitBarrier, tw.WaitJoin, len(prog.Mutexes), len(prog.Conds), len(prog.Barriers), n)
+		}
 		for _, fw := range tw.Frames {
 			if fw.Fn < 0 || fw.Fn >= len(prog.Funcs) {
 				return fmt.Errorf("vm: thread %d frame names function %d of %d", tw.ID, fw.Fn, len(prog.Funcs))
@@ -395,6 +431,19 @@ func fitsProgram(prog *bytecode.Program, w *StateWire) error {
 		}
 	}
 	return nil
+}
+
+// noneOrBelow reports whether id is -1 (none) or in [0, n).
+func noneOrBelow(id, n int) bool { return id >= -1 && id < n }
+
+// allBelow reports whether every id is in [0, n).
+func allBelow(ids []int, n int) bool {
+	for _, id := range ids {
+		if id < 0 || id >= n {
+			return false
+		}
+	}
+	return true
 }
 
 // Per-object overheads for MemEstimate, in bytes: an expression cell is

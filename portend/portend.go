@@ -111,11 +111,11 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithCaching toggles the engine's shared reuse machinery: the replay
-// checkpoint store (the detection pass and earlier races deposit
-// snapshots that later replays and multi-path explorations resume from)
-// and the memoizing solver cache. It is on by default; verdicts are byte-identical either way
-// (the caches shift time, never outcomes), so disabling it is only
-// useful for ablation timing or to trade speed for memory.
+// checkpoint store, where the detection pass and earlier races deposit
+// snapshots that later replays and multi-path explorations resume from.
+// It is on by default; verdicts are byte-identical either way (the
+// store shifts time, never outcomes), so disabling it is only useful
+// for ablation timing or to trade speed for memory.
 func WithCaching(enabled bool) Option {
 	return func(o *core.Options) { o.NoCache = !enabled }
 }

@@ -95,12 +95,10 @@ type Stats struct {
 	// resumed from the shared checkpoint store — populated by the
 	// detection pass (detection-point and periodic snapshots) and by
 	// earlier classification replays — instead of the program's initial
-	// state. SolverCacheHits counts solver queries answered from the
-	// shared memo. Both depend on what earlier (possibly concurrent) work
-	// cached, so unlike the verdict itself they may vary between runs of
-	// different parallelism.
-	CheckpointHits  int `json:"checkpointHits"`
-	SolverCacheHits int `json:"solverCacheHits"`
+	// state. It depends on what earlier (possibly concurrent) work
+	// deposited, so unlike the verdict itself it may vary between runs
+	// of different parallelism.
+	CheckpointHits int `json:"checkpointHits"`
 
 	// TruncatedPaths counts multi-path exploration the engine's caps
 	// discarded (dropped forks plus abandoned worklist items). When it is
@@ -130,12 +128,6 @@ type Stats struct {
 	// varies with pool width, never the verdict.
 	CloneAllocs int64 `json:"cloneAllocs,omitempty"`
 	CloneBytes  int64 `json:"cloneBytes,omitempty"`
-
-	// SolverCacheEvictions counts entries the run-wide solver memo
-	// evicted (least-recently-used) while this race classified — a cache
-	// pressure indicator for tuning, attributed to whichever race was
-	// being timed when the eviction happened.
-	SolverCacheEvictions int `json:"solverCacheEvictions,omitempty"`
 
 	// PrunedSchedules counts exploration worklist items the static
 	// pre-analysis proved inert for this race (no reachable access to the
@@ -210,23 +202,21 @@ func newVerdict(cv *core.Verdict, prog *bytecode.Program) Verdict {
 		Detail:       cv.Detail,
 		StatesDiffer: cv.StatesDiffer,
 		Stats: Stats{
-			Preemptions:          cv.Stats.Preemptions,
-			Branches:             cv.Stats.Branches,
-			SolverQueries:        cv.Stats.SolverQueries,
-			PrimaryPaths:         cv.Stats.PrimaryPaths,
-			Alternates:           cv.Stats.Alternates,
-			CheckpointHits:       cv.Stats.CheckpointHits,
-			SolverCacheHits:      cv.Stats.SolverCacheHits,
-			TruncatedPaths:       cv.Stats.TruncatedPaths,
-			FusedOps:             cv.Stats.FusedOps,
-			InternedConsts:       cv.Stats.InternedConsts,
-			SkippedSteps:         cv.Stats.SkippedSteps,
-			CloneAllocs:          cv.Stats.CloneAllocs,
-			CloneBytes:           cv.Stats.CloneBytes,
-			SolverCacheEvictions: cv.Stats.SolverCacheEvictions,
-			PrunedSchedules:      cv.Stats.PrunedSchedules,
-			PathItemsRun:         cv.Stats.PathItemsRun,
-			Duration:             cv.Stats.Duration,
+			Preemptions:     cv.Stats.Preemptions,
+			Branches:        cv.Stats.Branches,
+			SolverQueries:   cv.Stats.SolverQueries,
+			PrimaryPaths:    cv.Stats.PrimaryPaths,
+			Alternates:      cv.Stats.Alternates,
+			CheckpointHits:  cv.Stats.CheckpointHits,
+			TruncatedPaths:  cv.Stats.TruncatedPaths,
+			FusedOps:        cv.Stats.FusedOps,
+			InternedConsts:  cv.Stats.InternedConsts,
+			SkippedSteps:    cv.Stats.SkippedSteps,
+			CloneAllocs:     cv.Stats.CloneAllocs,
+			CloneBytes:      cv.Stats.CloneBytes,
+			PrunedSchedules: cv.Stats.PrunedSchedules,
+			PathItemsRun:    cv.Stats.PathItemsRun,
+			Duration:        cv.Stats.Duration,
 		},
 		prog: prog,
 		raw:  cv,

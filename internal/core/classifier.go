@@ -274,26 +274,6 @@ func (c *Classifier) newRootState(tr *trace.Trace, symbolic bool) *vm.State {
 	return st
 }
 
-// breakAtAccess stops when the given thread is about to execute the
-// shared access identified by its per-thread instruction count.
-func breakAtAccess(tid int, tInstr int64) vm.BreakFunc {
-	return func(st *vm.State, cur int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return cur == tid && st.Threads[cur].Instrs == tInstr && in.Op.IsSharedAccess()
-	}
-}
-
-// accessToObj reports whether an instruction statically accesses the racy
-// object class (global id, or any heap object for heap races).
-func accessToObj(in bytecode.Instr, space vm.Space, obj int64) bool {
-	switch in.Op {
-	case bytecode.LOADG, bytecode.STOREG, bytecode.LOADE, bytecode.STOREE:
-		return space == vm.SpaceGlobal && in.A == obj
-	case bytecode.LOADH, bytecode.STOREH, bytecode.FREE:
-		return space == vm.SpaceHeap
-	}
-	return false
-}
-
 // replayToRace replays the trace concretely up to just past the second
 // racing access, checkpointing just before the first (§3.2, Algorithm 1
 // lines 1–4).
@@ -331,7 +311,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 	rc := findAccessCounter(st)
 	m := c.newMachine(st, ctl)
 
-	m.Break = breakAtAccess(rep.First.TID, rep.First.TInstr)
+	m.Stop = vm.Stop{On: vm.AtAccess, TID: rep.First.TID, Instrs: rep.First.TInstr}
 	res := m.Run(budget)
 	if res.Kind != vm.StopBreak {
 		if err := c.canceled(); err != nil {
@@ -345,7 +325,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 	pre := st.Clone()
 	dropAccessCounter(pre) // enforcement clones need no counting
 
-	m.Break = breakAtAccess(rep.Second.TID, rep.Second.TInstr)
+	m.Stop = vm.Stop{On: vm.AtAccess, TID: rep.Second.TID, Instrs: rep.Second.TInstr}
 	res = m.Run(c.Opts.RunBudget)
 	if res.Kind != vm.StopBreak {
 		if err := c.canceled(); err != nil {
@@ -353,8 +333,9 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		}
 		return nil, fmt.Errorf("portend: replay did not reach second racing access of %s (%v)", rep.ID(), res.Kind)
 	}
-	m.Break = nil
 	m.Step() // complete the second racing access: the post-race state
+	// The primary later runs on from here to completion, unstopped.
+	m.Stop = vm.Stop{}
 
 	ctx := &pairCtx{
 		m: m, st: st, pre: pre,
@@ -403,9 +384,7 @@ func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, sp
 	alt.Suspend(firstTID)
 	m := c.newMachine(alt, ctl)
 	m.SpinTrack = true
-	m.Break = func(st *vm.State, cur int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return cur == secondTID && accessToObj(in, space, obj)
-	}
+	m.Stop = vm.Stop{On: vm.AtObject, TID: secondTID, Space: space, Obj: obj}
 	res := m.Run(c.Opts.EnforceBudget)
 	switch res.Kind {
 	case vm.StopBreak:
@@ -444,7 +423,6 @@ func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, sp
 	// Parked just before the second thread's racing access. Complete it,
 	// then let the suspended thread immediately complete its pending
 	// access: the reversed pair, back to back.
-	m.Break = nil
 	if r := m.Step(); r.Kind == vm.StopError {
 		return enforceResult{outcome: enfError, st: alt, err: r.Err}
 	}
@@ -454,6 +432,7 @@ func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, sp
 		return enforceResult{outcome: enfError, st: alt, err: r.Err}
 	}
 	afterFP := alt.SharedMemoryFingerprint()
+	m.Stop = vm.Stop{}
 	m.SpinTrack = false // only a timeout reads the spin data; fuse the completion
 	final := m.Run(c.Opts.RunBudget)
 	return enforceResult{outcome: enfOK, st: alt, afterFP: afterFP, final: final}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/bytecode"
 	"repro/internal/explore"
 	"repro/internal/expr"
 	"repro/internal/race"
@@ -192,16 +191,14 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 
 		pruned := false
 		var res vm.RunResult
+		// Stop at any access to the racy object: the first access is
+		// matched strictly by its recorded source line, but the second may
+		// occur at a different program counter on other paths — the
+		// divergence tolerance that makes Fig 4's overflow reachable
+		// ("cases in which the second racing access occurs at a different
+		// program counter", §3.3).
+		m.Stop = vm.Stop{On: vm.AtObject, TID: -1, Space: space, Obj: obj}
 		for !it.raceHit {
-			// Break at any access to the racy object: the first access is
-			// matched strictly by its recorded source line, but the second
-			// may occur at a different program counter on other paths —
-			// the divergence tolerance that makes Fig 4's overflow
-			// reachable ("cases in which the second racing access occurs
-			// at a different program counter", §3.3).
-			m.Break = func(st *vm.State, cur int, pc bytecode.PCRef, in bytecode.Instr) bool {
-				return accessToObj(in, space, obj)
-			}
 			res = eng.RunForking(m, segBudget(), onFork)
 			if res.Kind != vm.StopBreak {
 				break // completed (or failed) without hitting the race
@@ -220,16 +217,13 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 				it.raceHit = true
 				it.firstTID = it.preTID
 				it.secondTID = tid
-				m.Break = nil
 				m.Step() // complete the second racing access
 			case line == firstLine:
 				// (Re-)checkpoint before the most recent first access.
 				it.pre = it.st.Clone()
 				it.preTID = tid
-				m.Break = nil
 				m.Step()
 			default:
-				m.Break = nil
 				m.Step()
 			}
 		}
@@ -245,7 +239,7 @@ func (c *Classifier) collectPrimaries(rep *race.Report, tr *trace.Trace, eng *ex
 		case it.st.Finished():
 			res = vm.RunResult{Kind: vm.StopFinished}
 		default:
-			m.Break = nil
+			m.Stop = vm.Stop{}
 			// segBudget, not the raw RunBudget: should an item ever reach
 			// this segment without its race-hit loop having run (inherited
 			// race hit plus a forwarded charge), the skipped prefix is

@@ -15,7 +15,6 @@
 package explore
 
 import (
-	"repro/internal/bytecode"
 	"repro/internal/expr"
 	"repro/internal/solver"
 	"repro/internal/vm"
@@ -48,57 +47,22 @@ func NewEngine(s *solver.Solver, maxForks int) *Engine {
 // so far across all RunForking calls.
 func (e *Engine) Branches() int { return e.branches }
 
-// forkCandidate inspects the instruction the current thread is about to
-// execute and returns the (normalized, 0/1) branch condition if it is a
-// symbolic fork point.
-func forkCandidate(st *vm.State, tid int, in bytecode.Instr) (expr.Expr, bool) {
-	th := st.Threads[tid]
-	fr := th.Top()
-	if fr == nil || len(fr.Stack) == 0 {
-		return nil, false
-	}
-	top := fr.Stack[len(fr.Stack)-1]
-	switch in.Op {
-	case bytecode.JZ, bytecode.ASSERT:
-		if !expr.IsConcrete(top) {
-			return expr.NeZero(top), true
-		}
-	case bytecode.DIV, bytecode.MOD:
-		if !expr.IsConcrete(top) {
-			return expr.Ne(top, expr.NewConst(0)), true
-		}
-	}
-	return nil, false
-}
-
 // RunForking runs m until it stops for a reason other than a symbolic
 // branch. At each symbolic branch with a feasible unexplored side (and
 // remaining fork budget), onFork is called with the sibling state, whose
 // hints already steer it down the other side; the callback pairs it with a
-// cloned controller and queues it. m.Break (the caller's breakpoint) is
-// honored: RunForking composes it with the engine's own fork breakpoints
-// and restores it on return.
+// cloned controller and queues it. RunForking adds vm.AtFork to m.Stop,
+// which keeps it: the caller's own conditions still end the run.
 func (e *Engine) RunForking(m *vm.Machine, budget int64, onFork func(sib *vm.State)) vm.RunResult {
-	callerBreak := m.Break
-	defer func() { m.Break = callerBreak }()
-
+	m.Stop.On |= vm.AtFork
 	for {
-		var forkInstr bytecode.Instr
-		sawFork := false
-		m.Break = func(st *vm.State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-			if _, ok := forkCandidate(st, tid, in); ok {
-				forkInstr = in
-				sawFork = true
-				return true
-			}
-			if callerBreak != nil && callerBreak(st, tid, pc, in) {
-				sawFork = false
-				return true
-			}
-			return false
-		}
 		res := m.Run(budget)
-		if res.Kind != vm.StopBreak || !sawFork {
+		if res.Kind != vm.StopBreak {
+			return res
+		}
+		// Parked just before a symbolic branch, or at the caller's stop.
+		cond := m.ForkCond()
+		if cond == nil {
 			return res
 		}
 		budget -= res.Steps
@@ -106,42 +70,36 @@ func (e *Engine) RunForking(m *vm.Machine, budget int64, onFork func(sib *vm.Sta
 			return vm.RunResult{Kind: vm.StopBudget}
 		}
 
-		// We are parked just before a symbolic branch.
 		st := m.St
-		tid := st.Cur
-		cond, ok := forkCandidate(st, tid, forkInstr)
-		if ok {
-			e.branches++
-			taken, err := st.HintEval(cond)
-			if err == nil && e.forksLeft > 0 && onFork != nil {
-				neg := expr.LNot(cond)
-				if taken == 0 {
-					neg = cond
+		e.branches++
+		taken, err := st.HintEval(cond)
+		if err == nil && e.forksLeft > 0 && onFork != nil {
+			neg := expr.LNot(cond)
+			if taken == 0 {
+				neg = cond
+			}
+			q := make([]expr.Expr, 0, len(st.PathCond)+1)
+			q = append(q, st.PathCond...)
+			q = append(q, neg)
+			model, sat := e.Solver.Solve(q, st.Hints)
+			if sat == solver.Sat {
+				e.forksLeft--
+				sib := st.Clone()
+				for name, v := range model {
+					sib.SetHint(name, v)
 				}
-				q := make([]expr.Expr, 0, len(st.PathCond)+1)
-				q = append(q, st.PathCond...)
-				q = append(q, neg)
-				model, sat := e.Solver.Solve(q, st.Hints)
-				if sat == solver.Sat {
-					e.forksLeft--
-					sib := st.Clone()
-					for name, v := range model {
-						sib.SetHint(name, v)
-					}
-					// Commit the sibling past the branch under its new
-					// hints so it cannot re-fork the same point. A JZ is
-					// not a scheduling point, so the controller is never
-					// consulted during this single step.
-					sm := vm.NewMachine(sib, vm.Sticky{})
-					sm.Step()
-					onFork(sib)
-				}
+				// Commit the sibling past the branch under its new
+				// hints so it cannot re-fork the same point. A JZ is
+				// not a scheduling point, so the controller is never
+				// consulted during this single step.
+				sm := vm.NewMachine(sib, vm.Sticky{})
+				sm.Step()
+				onFork(sib)
 			}
 		}
 
 		// Execute the branch instruction itself (the concolic policy
 		// records the taken side's constraint), then resume running.
-		m.Break = nil
 		stepRes := m.Step()
 		budget -= stepRes.Steps
 		switch stepRes.Kind {

@@ -218,10 +218,8 @@ fn main() {
 	st := vm.NewState(p, nil, []int64{7})
 	st.In.NSymbolic = 1
 	m := vm.NewMachine(st, vm.NewRoundRobin())
-	// Caller break on the first shared write to g.
-	m.Break = func(s *vm.State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return in.Op == bytecode.STOREG
-	}
+	// Caller stop at the first access to g, a write.
+	m.Stop = vm.Stop{On: vm.AtObject, TID: -1, Space: vm.SpaceGlobal, Obj: int64(p.GlobalID("g"))}
 	forks := 0
 	res := e.RunForking(m, 100_000, func(sib *vm.State) { forks++ })
 	if res.Kind != vm.StopBreak {

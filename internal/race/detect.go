@@ -2,6 +2,7 @@ package race
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/bytecode"
 	"repro/internal/trace"
@@ -122,21 +123,14 @@ func recordSnapshotting(st *vm.State, det *Detector, budget int64, interrupt fun
 	m := vm.NewMachine(st, trace.NewRecorder(vm.NewRoundRobin(), t))
 	m.Interrupt = interrupt
 
-	pending := false
-	det.OnNew = func(*Report) { pending = true }
-	defer func() { det.OnNew = nil }()
-
 	every := cfg.SnapshotEvery
-	next := int64(-1)
+	next := int64(math.MaxInt64)
 	if every > 0 {
 		next = every
 	}
-	m.Break = func(s *vm.State, _ int, _ bytecode.PCRef, in bytecode.Instr) bool {
-		if in.Op.IsSyncOp() {
-			return false
-		}
-		return pending || (next >= 0 && s.Steps >= next)
-	}
+	m.Stop = vm.Stop{On: vm.AtSteps, Steps: next}
+	det.OnNew = func(*Report) { m.Stop.Steps = st.Steps } // park at the next clean point
+	defer func() { det.OnNew = nil }()
 
 	remaining := budget
 	var total int64
@@ -150,13 +144,13 @@ func recordSnapshotting(st *vm.State, det *Detector, budget int64, interrupt fun
 		if remaining >= 0 {
 			remaining -= res.Steps
 		}
-		pending = false
-		if next >= 0 {
+		if every > 0 {
 			if st.Steps >= next {
 				every *= 2 // geometric cadence: O(log T) periodic deposits
 			}
 			next = st.Steps + every
 		}
+		m.Stop.Steps = next
 		snapshotParked(st, det, t, cfg)
 	}
 }

@@ -283,7 +283,7 @@ func (d *Detector) CloneObs() vm.Observer {
 			c.vcs[t] = vc.Copy()
 		}
 	}
-	for loc, ls := range d.locs {
+	for loc, ls := range d.locs { //determlint:unordered: each location copies its own reads; the order of locations cannot leak
 		cl := *ls
 		cl.reads = append([]Access(nil), ls.reads...)
 		c.locs[loc] = &cl

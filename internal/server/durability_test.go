@@ -323,8 +323,7 @@ func TestRunTimeoutWatchdog(t *testing.T) {
 	c := &Client{Base: ts.URL}
 
 	start := time.Now()
-	_, err := c.Analyze(context.Background(),
-		Request{Source: slowSource(2_000_000), Name: "hog", Options: &RequestOptions{Parallel: 1}}, nil)
+	_, err := c.Analyze(context.Background(), slowRequest("hog"), nil)
 	if err == nil {
 		t.Fatal("watchdogged run reported success")
 	}

@@ -136,10 +136,12 @@ func TestRemoteVerdictsMatchLocal(t *testing.T) {
 	}
 }
 
-// slowSource is a raced program padded with a long concrete tail so its
-// classification occupies an analysis slot for a while.
-func slowSource(pad int) string {
-	return fmt.Sprintf(`var g = 0
+// slowRequest is a raced program padded with a concrete tail of a
+// billion loop iterations, under a run budget that does not cut the tail
+// short: however fast the engine gets, its analysis holds a slot until
+// it is cancelled, never finishing within a test's horizon.
+func slowRequest(name string) Request {
+	const src = `var g = 0
 var acc = 0
 fn w() { g = 1 }
 fn main() {
@@ -147,9 +149,10 @@ fn main() {
 	yield()
 	g = 2
 	join(t)
-	for i = 0, %d { acc = acc + 1 }
+	for i = 0, 1000000000 { acc = acc + 1 }
 	print("acc=", acc)
-}`, pad)
+}`
+	return Request{Source: src, Name: name, Options: &RequestOptions{Parallel: 1, RunBudget: 1 << 40}}
 }
 
 // startSlow submits a slow request on its own context and returns once
@@ -163,8 +166,7 @@ func startSlow(t *testing.T, s *Server, c *Client, tenant string) (cancel contex
 	cl.Tenant = tenant
 	go func() {
 		defer close(ch)
-		_, _ = cl.Analyze(ctx, Request{Source: slowSource(2_000_000), Name: "slow",
-			Options: &RequestOptions{Parallel: 1}}, nil)
+		_, _ = cl.Analyze(ctx, slowRequest("slow"), nil)
 	}()
 	deadline := time.Now().Add(10 * time.Second)
 	for s.dispatch.active.Load() == 0 {

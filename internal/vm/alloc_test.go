@@ -65,6 +65,21 @@ func TestExecAllocFree(t *testing.T) {
 	}
 }
 
+// TestStepAllocFree guards Machine.Step: it sets the stop aside rather
+// than building a closure per call, so stepping a warm machine allocates
+// nothing.
+func TestStepAllocFree(t *testing.T) {
+	m := tightLoopMachine(t, false)
+	allocs := testing.AllocsPerRun(100, func() {
+		if res := m.Step(); res.Kind != vm.StopBreak {
+			t.Fatalf("step: %v", res.Kind)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Step allocates %v times per call, want 0", allocs)
+	}
+}
+
 // countLoopSrc is tightLoopSrc without the mask: i leaves the intern
 // range after 1,024 iterations, so every ADD yields a non-interned
 // constant.

@@ -138,14 +138,13 @@ func EncodeState(st *State, encObs ObsEncoder) (w *StateWire, ok bool) {
 		w.Globals[i] = enc.AddList(cells)
 	}
 
-	// The heap trie iterates in ref order by construction, which is
-	// exactly the sorted order the canonical wire form requires.
-	if n := st.HeapLen(); n > 0 {
-		w.Heap = make([]HeapBlockWire, 0, n)
-		st.rangeHeap(func(ref int64, blk *HeapBlock) bool {
-			w.Heap = append(w.Heap, HeapBlockWire{Ref: ref, Cells: enc.AddList(blk.Cells), Freed: blk.Freed})
-			return true
-		})
+	// The heap is in ref order by construction, which is exactly the
+	// sorted order the canonical wire form requires.
+	if n := len(st.heap); n > 0 {
+		w.Heap = make([]HeapBlockWire, n)
+		for i, blk := range st.heap {
+			w.Heap[i] = HeapBlockWire{Ref: int64(i) + 1, Cells: enc.AddList(blk.Cells), Freed: blk.Freed}
+		}
 	}
 
 	w.MutexOwners = make([]int, len(st.Mutexes))
@@ -262,7 +261,7 @@ func DecodeState(prog *bytecode.Program, w *StateWire, decObs ObsDecoder) (*Stat
 	}
 
 	// Heap refs are dense from 1 (FREE marks, never deletes), so the
-	// sorted wire blocks rebuild the trie by straight appends. A sparse
+	// sorted wire blocks rebuild the heap by straight appends. A sparse
 	// or unsorted payload is a corrupt or foreign snapshot.
 	for i, hb := range w.Heap {
 		if hb.Ref != int64(i)+1 {
@@ -272,7 +271,7 @@ func DecodeState(prog *bytecode.Program, w *StateWire, decObs ObsDecoder) (*Stat
 		if err != nil {
 			return nil, err
 		}
-		st.heap.Append(&HeapBlock{Cells: c, Freed: hb.Freed}, 0)
+		st.heap = append(st.heap, &HeapBlock{Cells: c, Freed: hb.Freed})
 	}
 
 	st.Mutexes = make([]mutexState, len(w.MutexOwners))
@@ -469,10 +468,9 @@ func (st *State) MemEstimate() int64 {
 	for _, cells := range st.Globals {
 		n += int64(len(cells)) * memCell
 	}
-	st.rangeHeap(func(_ int64, blk *HeapBlock) bool {
+	for _, blk := range st.heap {
 		n += memMapEntry + int64(len(blk.Cells))*memCell
-		return true
-	})
+	}
 	for _, t := range st.Threads {
 		n += memThread
 		for _, f := range t.Frames {

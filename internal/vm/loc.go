@@ -4,8 +4,9 @@
 // The machine interprets bytecode (internal/bytecode) with a cooperative,
 // single-processor thread scheduler, exactly as the paper's runtime does
 // (§3.1, §6): one thread runs at a time, and scheduling decisions happen
-// at synchronization operations; racing memory accesses can additionally
-// be targeted with breakpoints for the classifier's orchestration.
+// at synchronization operations. The classifier's orchestration parks the
+// machine at declarative stops (Stop): a racing access, an access to the
+// racy object, a symbolic branch.
 //
 // Every value is a symbolic expression (internal/expr); fully concrete
 // executions simply never leave constant expressions. States are deeply
@@ -136,7 +137,7 @@ const (
 	// StopBudget: the instruction budget was exhausted (the classifier's
 	// timeout, paper case (a)).
 	StopBudget
-	// StopBreak: a breakpoint fired; the machine can be resumed.
+	// StopBreak: the machine's Stop matched; the machine can be resumed.
 	StopBreak
 	// StopCancelled: Machine.Interrupt reported cancellation (a
 	// context deadline or cancel propagated by the orchestrator). The

@@ -52,20 +52,83 @@ func (ConcolicPolicy) Concretize(m *Machine, e expr.Expr) (int64, *RuntimeError)
 	return v, nil
 }
 
-// BreakFunc is a breakpoint predicate, checked before each instruction
-// attempt of the current thread. Returning true stops Run with StopBreak
-// *before* the instruction executes; clear or replace Machine.Break before
-// resuming, or Run will stop again immediately.
-type BreakFunc func(st *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool
+// Stop is a declarative breakpoint: Run parks with StopBreak before the
+// current thread's next instruction when a condition in On holds. The
+// zero Stop never matches, and Step sets the stop aside.
+type Stop struct {
+	On StopOn
 
-// Machine drives a State: scheduling, interpretation, breakpoints, and
+	TID    int   // AtAccess's thread; AtObject's, or any thread when negative
+	Instrs int64 // AtAccess's Thread.Instrs: the access's trace coordinate (§3.1)
+	Space  Space // AtObject's object class: global Obj, or every heap object
+	Obj    int64
+	Steps  int64 // AtSteps's State.Steps target
+}
+
+// StopOn is a set of Stop conditions.
+type StopOn uint8
+
+// Stop conditions. AtAccess and AtSteps read step counters, so they
+// turn the period probe off (probeable); the others are functions of the
+// configuration alone.
+const (
+	AtAccess StopOn = 1 << iota // thread TID's shared access at Thread.Instrs == Instrs
+	AtObject                    // a shared access to the object class (Space, Obj)
+	AtFork                      // a branch multi-path exploration may fork at (ForkCond)
+	AtSteps                     // the first non-sync instruction once State.Steps >= Steps
+)
+
+// match reports whether s holds before thread th, whose top frame is fr,
+// executes in.
+func (s *Stop) match(st *State, th *Thread, fr *Frame, in bytecode.Instr) bool {
+	if s.On&AtSteps != 0 && st.Steps >= s.Steps && !in.Op.IsSyncOp() ||
+		s.On&AtFork != 0 && forkCond(fr, in.Op) != nil {
+		return true
+	}
+	if !in.Op.IsSharedAccess() || s.TID >= 0 && s.TID != th.ID {
+		return false
+	}
+	if s.On&AtAccess != 0 && th.Instrs == s.Instrs {
+		return true
+	}
+	switch in.Op {
+	case bytecode.LOADG, bytecode.STOREG, bytecode.LOADE, bytecode.STOREE:
+		return s.On&AtObject != 0 && s.Space == SpaceGlobal && in.A == s.Obj
+	}
+	return s.On&AtObject != 0 && s.Space == SpaceHeap
+}
+
+// ForkCond returns the 0/1 condition of the symbolic branch the current
+// thread is parked before (by Run) — a JZ or ASSERT on a symbolic stack
+// top, or a DIV or MOD by a symbolic divisor — or nil when its next
+// instruction is none of these.
+func (m *Machine) ForkCond() expr.Expr {
+	fr := m.St.Threads[m.St.Cur].Top()
+	return forkCond(fr, m.St.Prog.Funcs[fr.Fn].Code[fr.PC].Op)
+}
+
+func forkCond(fr *Frame, op bytecode.OpCode) expr.Expr {
+	if op != bytecode.JZ && op != bytecode.ASSERT && op != bytecode.DIV && op != bytecode.MOD || len(fr.Stack) == 0 {
+		return nil
+	}
+	top := fr.Stack[len(fr.Stack)-1]
+	switch {
+	case expr.IsConcrete(top):
+		return nil
+	case op == bytecode.DIV || op == bytecode.MOD:
+		return expr.Ne(top, expr.NewConst(0))
+	}
+	return expr.NeZero(top)
+}
+
+// Machine drives a State: scheduling, interpretation, stops, and
 // symbolic branching. The Machine itself is transient (not checkpointed);
 // all persistent execution state lives in State.
 type Machine struct {
 	St     *State
 	Ctl    Controller
 	Policy BranchPolicy
-	Break  BreakFunc
+	Stop   Stop
 
 	// SpinTrack enables the loop diagnosis used on alternate-enforcement
 	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). While it
@@ -73,11 +136,10 @@ type Machine struct {
 	// instruction tick window of the diagnosis stays exactly as in
 	// unfused execution, and Run fast-forwards provably periodic
 	// stretches (period.go), rebuilding the diagnosis windows from one
-	// recorded period, with results identical to interpreting them.
-	// That proof treats Break as a function of the configuration — the
-	// thread, instruction and state — never of Steps or Instrs. Only the
-	// diagnosis after a budget stop reads the tracking data, so turn it
-	// off for runs that cannot end in one.
+	// recorded period, with results identical to interpreting them; a
+	// stop that reads Steps or Instrs turns that off (probeable). Only
+	// the diagnosis after a budget stop reads the tracking data, so turn
+	// it off for runs that cannot end in one.
 	SpinTrack bool
 	spin      []*spinInfo // per-thread, indexed by tid
 
@@ -141,8 +203,8 @@ func (m *Machine) pick(runnable []int) {
 // polls; cancellation latency is bounded by this many instructions.
 const interruptStride = 256
 
-// Run executes until the program finishes, fails, deadlocks, hits a
-// breakpoint, is interrupted, or exhausts the budget (budget < 0 means
+// Run executes until the program finishes, fails, deadlocks, reaches
+// its stop, is interrupted, or exhausts the budget (budget < 0 means
 // unlimited).
 //
 // The loop is the analysis' innermost hot path: every replay, alternate
@@ -234,7 +296,7 @@ func (m *Machine) run(budget int64) RunResult {
 			}
 		}
 
-		if m.Break != nil && m.Break(st, cur, pcref, in) {
+		if m.Stop.On != 0 && m.Stop.match(st, th, fr, in) {
 			return RunResult{Kind: StopBreak, Steps: steps}
 		}
 		if budget >= 0 && steps >= budget {
@@ -252,7 +314,7 @@ func (m *Machine) run(budget int64) RunResult {
 		// Superinstruction fast path: execute a whole fused sequence in
 		// one dispatch. Interior instructions are thread-local and side-
 		// effect-free (no sync ops, shared accesses, jumps, or failure
-		// paths), so skipping their Break/scheduling checks is sound; the
+		// paths), so skipping their stop/scheduling checks is sound; the
 		// counters advance by the covered length so budgets and traces
 		// cannot tell the difference. Near budget exhaustion (a stop
 		// could land mid-sequence) and under spin tracking (per-
@@ -307,20 +369,20 @@ func (m *Machine) reschedule() (kind StopKind, stop bool) {
 }
 
 // Step executes exactly one completed instruction of the current thread
-// (scheduling if needed). It is used by the classifier to move just past
-// the second racing access.
+// (scheduling if needed), with the stop set aside, and reports StopBreak
+// once it has. The classifier uses it to move just past a racing access.
 func (m *Machine) Step() RunResult {
-	before := m.St.Steps
-	saved := m.Break
-	m.Break = func(st *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return st.Steps > before
+	stop := m.Stop
+	m.Stop = Stop{}
+	// Budget 1: the run ends after one completion, and the headroom is too
+	// small for any fused sequence — Step's exactly-one-instruction
+	// contract holds whether or not the program carries a fusion overlay.
+	res := m.Run(1)
+	m.Stop = stop
+	if res.Kind == StopBudget {
+		res.Kind = StopBreak
 	}
-	defer func() { m.Break = saved }()
-	// Budget 1: the break fires after one completion, and the remaining
-	// headroom is too small for any fused sequence — Step's exactly-one-
-	// instruction contract holds whether or not the program carries a
-	// fusion overlay.
-	return m.Run(1)
+	return res
 }
 
 func (m *Machine) pop(th *Thread, fr *Frame, pcref bytecode.PCRef) (expr.Expr, *RuntimeError) {
@@ -515,7 +577,7 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 			cells[i] = expr.NewConst(0)
 		}
 		// Heap refs are dense and never reused (FREE marks, it does not
-		// delete), so the new block's ref is exactly the trie's next
+		// delete), so the new block's ref is exactly the heap's next
 		// index; NextRef is kept as the serialized form of that cursor.
 		ref := st.allocBlock(cells)
 		st.NextRef = ref + 1

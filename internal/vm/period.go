@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"repro/internal/expr"
-	"repro/internal/pstate"
 )
 
 // Period skip: exact fast-forward of provably periodic spin-tracked runs.
@@ -35,14 +34,15 @@ import (
 //
 // The probe runs only when the future provably depends on nothing
 // outside the configuration: a RoundRobin or Sticky controller, the
-// concolic branch policy, no observers, and a finite budget large enough
-// for both windows to start after a snapshot. Random-schedule runs,
-// replays and observer-carrying runs take the plain path.
+// concolic branch policy, no observers, a stop that reads no step
+// counter, and a finite budget large enough for both windows to start
+// after a snapshot. Random-schedule runs, replays, observer-carrying
+// runs and runs to a step-counted stop take the plain path.
 
 const (
 	// periodFirst is the run step of the first configuration snapshot
 	// and the first compare horizon. Short runs — every enforcement that
-	// reaches its break quickly — never snapshot at all.
+	// reaches its stop quickly — never snapshot at all.
 	periodFirst = 256
 	// periodHorizon caps the compare horizon. Snapshots are retaken at
 	// doubling distances up to this one (Brent's cycle search), so any
@@ -110,7 +110,8 @@ func (p *periodProbe) reset() {
 // probeable reports whether this run's future is a function of the
 // configuration alone, so a recurrence proves periodicity.
 func (m *Machine) probeable(budget int64) bool {
-	if !periodSkip || !m.SpinTrack || budget < periodMinBudget || len(m.St.Observers) > 0 {
+	if !periodSkip || !m.SpinTrack || budget < periodMinBudget || len(m.St.Observers) > 0 ||
+		m.Stop.On&(AtAccess|AtSteps) != 0 {
 		return false
 	}
 	if _, ok := m.Policy.(ConcolicPolicy); !ok {
@@ -300,7 +301,7 @@ func sameConfig(a, b *State) bool {
 			return false
 		}
 	}
-	if !pstate.EqualFunc(&a.heap, &b.heap, sameBlock) ||
+	if !sameFunc(a.heap, b.heap, sameBlock) ||
 		!sameSlice(a.Mutexes, b.Mutexes) || !sameFunc(a.Conds, b.Conds, sameCond) ||
 		!sameFunc(a.Barriers, b.Barriers, sameBarrier) ||
 		!sameFunc(a.Outputs, b.Outputs, sameOutput) || !sameSlice(a.In.Values, b.In.Values) ||

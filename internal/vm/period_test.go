@@ -157,15 +157,35 @@ fn main() {
 	while i < 20000 { i = i + 1 }
 	done = 1
 }`, 300_000, func(m *Machine) {
-		m.Break = func(st *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-			return in.Op == bytecode.STOREG
-		}
+		m.Stop = Stop{On: AtObject, TID: -1, Space: SpaceGlobal, Obj: int64(m.St.Prog.GlobalID("done"))}
 	})
 	if o.res.Kind != StopBreak || o.skipped != 0 {
 		t.Fatalf("want an unskipped break, got %+v skipped %d", o.res, o.skipped)
 	}
 	if o.res.Steps < 4*periodHorizon {
 		t.Fatalf("loop ran only %d steps; it must outlast several horizons", o.res.Steps)
+	}
+}
+
+// A stop that reads a step counter turns the probe off: a spin-tracked
+// run to thread 0's shared access at an instruction count far past the
+// probe's horizons parks at exactly that access in both arms, unskipped.
+// A skip would jump the count past the access.
+func TestPeriodSkipStepCountedStop(t *testing.T) {
+	const n = 200_002 // the loop's LOADG flag: every 5th instruction from 2
+	o := spinPair(t, `
+var flag = 0
+fn setter() { flag = 1 }
+fn main() {
+	let s = spawn setter()
+	while flag == 0 { }
+	join(s)
+}`, 300_000, func(m *Machine) {
+		m.St.Suspend(1)
+		m.Stop = Stop{On: AtAccess, TID: 0, Instrs: n}
+	})
+	if th := o.m.St.Threads[0]; o.res.Kind != StopBreak || o.skipped != 0 || th.Instrs != n {
+		t.Fatalf("want an unskipped break at instruction %d, got %+v at %d, skipped %d", n, o.res, th.Instrs, o.skipped)
 	}
 }
 
@@ -416,7 +436,7 @@ func TestPeriodConfigFieldsListed(t *testing.T) {
 			"Steps":     counter,
 			"argSyms":   "memo the codec drops; rebuilt identically from Args and Hints",
 			"epoch":     internal, "sharedFlag": internal, "gStamp": internal, "syncStamp": internal,
-			"thStamp": internal, "suspStamp": internal, "hintStamp": internal, "argStamp": internal,
+			"thStamp": internal, "heapStamp": internal, "suspStamp": internal, "hintStamp": internal, "argStamp": internal,
 			"meter": internal,
 		},
 		reflect.TypeOf(Thread{}): {

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/expr"
-	"repro/internal/pstate"
 )
 
 // ThreadStatus is a thread's scheduling state.
@@ -109,8 +108,8 @@ type barrierState struct {
 	Arrived []int
 }
 
-// HeapBlock is one allocation. Blocks live in the state's persistent
-// heap trie; a block shared between states is immutable, and the
+// HeapBlock is one allocation. Blocks live in the state's copy-on-write
+// heap slice; a block shared between states is immutable, and the
 // machine's write barrier (wblock) copies it on first write per epoch.
 type HeapBlock struct {
 	Cells []expr.Expr
@@ -215,19 +214,18 @@ var globalEpoch uint64
 // layer with the source) and gives both states fresh epochs. Each
 // mutable layer carries an ownership stamp — either a per-layer field in
 // the State (gStamp for globals, syncStamp for mutexes/conds/barriers,
-// thStamp for the thread list, suspStamp, hintStamp, argStamp) or a
-// per-object stamp (Thread, Frame, HeapBlock, and the heap trie's
-// nodes). A layer is owned, and may be written in place, exactly when
+// thStamp for the thread list, heapStamp for the heap's block list,
+// suspStamp, hintStamp, argStamp) or a per-object stamp (Thread, Frame,
+// HeapBlock). A layer is owned, and may be written in place, exactly when
 // its stamp equals the state's epoch; otherwise the writer first
 // privatizes it (write barrier: copy the layer, stamp it with the
 // current epoch) and every other state sharing the old copy is
 // untouched. Since epochs are globally unique and never reused, a stale
 // stamp can never be mistaken for ownership.
 //
-// The heap is a persistent 32-way radix trie (internal/pstate) indexed
-// by ref-1 — heap refs are dense, FREE marks rather than deletes — so a
-// block write path-copies O(log32 n) nodes at most once per epoch and
-// iteration yields blocks in ref order with no sorting.
+// The heap is a flat slice of blocks indexed by ref-1 — heap refs are
+// dense, FREE marks rather than deletes — so iteration yields blocks in
+// ref order with no sorting.
 //
 // Append-only slices (Outputs, PathCond) share backing arrays with the
 // clone's source, cap-trimmed on the clone side so an append by either
@@ -238,7 +236,7 @@ type State struct {
 	Prog *bytecode.Program // immutable, shared
 
 	Globals  [][]expr.Expr // per global: cells; privatized via wglobals
-	heap     pstate.Vector[*HeapBlock]
+	heap     []*HeapBlock  // indexed by ref-1; privatized via wheap
 	NextRef  int64
 	Mutexes  []mutexState
 	Conds    []condState
@@ -293,6 +291,7 @@ type State struct {
 	gStamp    uint64 // Globals (outer slice + every cell slab)
 	syncStamp uint64 // Mutexes, Conds, Barriers
 	thStamp   uint64 // Threads outer slice
+	heapStamp uint64 // heap block list
 	suspStamp uint64 // Suspended
 	hintStamp uint64 // Hints
 	argStamp  uint64 // Args, SymArgs, argSyms
@@ -605,45 +604,47 @@ func (st *State) wargs() {
 
 // HeapLen returns the number of heap blocks ever allocated (freed
 // blocks included; refs are dense and never reused).
-func (st *State) HeapLen() int { return st.heap.Len() }
+func (st *State) HeapLen() int { return len(st.heap) }
 
 // heapBlock returns the block for ref, or nil for an invalid ref.
 func (st *State) heapBlock(ref int64) *HeapBlock {
-	if ref < 1 || ref > int64(st.heap.Len()) {
+	if ref < 1 || ref > int64(len(st.heap)) {
 		return nil
 	}
-	return st.heap.Get(int(ref) - 1)
+	return st.heap[ref-1]
 }
 
-// rangeHeap visits every heap block in ref order (refs are dense,
-// starting at 1).
-func (st *State) rangeHeap(f func(ref int64, blk *HeapBlock) bool) {
-	st.heap.Range(func(i int, blk *HeapBlock) bool {
-		return f(int64(i)+1, blk)
-	})
+// wheap privatizes the heap's block list; the blocks themselves stay
+// shared until wblock touches them.
+func (st *State) wheap() {
+	st.own()
+	if st.heapStamp == st.epoch {
+		return
+	}
+	st.heap = append([]*HeapBlock(nil), st.heap...)
+	st.heapStamp = st.epoch
 }
 
 // allocBlock appends a fresh heap block and returns its ref. The caller
 // must have advanced NextRef; ref == NextRef-1 == HeapLen() holds by
 // construction.
 func (st *State) allocBlock(cells []expr.Expr) int64 {
-	st.own()
-	st.heap.Append(&HeapBlock{Cells: cells, stamp: st.epoch}, st.epoch)
-	return int64(st.heap.Len())
+	st.wheap()
+	st.heap = append(st.heap, &HeapBlock{Cells: cells, stamp: st.epoch})
+	return int64(len(st.heap))
 }
 
 // wblock returns a writable block for ref (which must be valid),
-// copying the block and its cells on first write per epoch and
-// path-copying the heap trie's spine.
+// copying the block and its cells on first write per epoch.
 func (st *State) wblock(ref int64, blk *HeapBlock) *HeapBlock {
-	st.own()
+	st.wheap()
 	if blk.stamp == st.epoch {
 		return blk
 	}
 	nb := &HeapBlock{Freed: blk.Freed, stamp: st.epoch}
 	nb.Cells = make([]expr.Expr, len(blk.Cells))
 	copy(nb.Cells, blk.Cells)
-	st.heap.Set(int(ref)-1, nb, st.epoch)
+	st.heap[ref-1] = nb
 	return nb
 }
 
@@ -764,13 +765,12 @@ func (st *State) Concretize(model expr.Assignment) {
 			st.Globals[i][j] = sub(c)
 		}
 	}
-	st.rangeHeap(func(ref int64, blk *HeapBlock) bool {
-		wb := st.wblock(ref, blk)
+	for i, blk := range st.heap {
+		wb := st.wblock(int64(i)+1, blk)
 		for j, c := range wb.Cells {
 			wb.Cells[j] = sub(c)
 		}
-		return true
-	})
+	}
 	for i := range st.Threads {
 		t := st.wthread(i)
 		for j := range t.Frames {
@@ -851,14 +851,13 @@ func (st *State) MemoryFingerprint() string {
 			b.WriteByte(',')
 		}
 	}
-	st.rangeHeap(func(ref int64, blk *HeapBlock) bool {
-		fmt.Fprintf(&b, "h%d(f=%v):", ref, blk.Freed)
+	for i, blk := range st.heap {
+		fmt.Fprintf(&b, "h%d(f=%v):", i+1, blk.Freed)
 		for _, c := range blk.Cells {
 			b.WriteString(c.String())
 			b.WriteByte(',')
 		}
-		return true
-	})
+	}
 	for _, t := range st.Threads {
 		fmt.Fprintf(&b, "t%d(%s):", t.ID, t.Status)
 		for _, f := range t.Frames {
@@ -918,13 +917,12 @@ func (st *State) SharedMemoryFingerprint() string {
 			b.WriteByte(',')
 		}
 	}
-	st.rangeHeap(func(ref int64, blk *HeapBlock) bool {
-		fmt.Fprintf(&b, "h%d(f=%v):", ref, blk.Freed)
+	for i, blk := range st.heap {
+		fmt.Fprintf(&b, "h%d(f=%v):", i+1, blk.Freed)
 		for _, c := range blk.Cells {
 			b.WriteString(c.String())
 			b.WriteByte(',')
 		}
-		return true
-	})
+	}
 	return b.String()
 }

@@ -213,13 +213,14 @@ fn main() {
 }`)
 	st := NewState(p, nil, nil)
 	m := NewMachine(st, NewRoundRobin())
-	m.Break = func(s *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return in.Op == bytecode.YIELD
+	// Stop just past the yield, at the second store (instruction 6).
+	m.Stop = Stop{On: AtAccess, TID: 0, Instrs: 6}
+	if res := m.Run(-1); res.Kind != StopBreak {
+		t.Fatalf("want break, got %v", res.Kind)
 	}
-	m.Run(-1)
 	sharedBefore := st.SharedMemoryFingerprint()
 	fullBefore := st.MemoryFingerprint()
-	m.Break = nil
+	m.Stop = Stop{}
 	m.Run(-1)
 	// The second g=1 is redundant: shared memory unchanged, but the
 	// thread advanced, so the full fingerprint must differ.
@@ -274,15 +275,15 @@ fn main() {
 	let x = private
 	join(w)
 }`)
+	sharedID := int64(p.GlobalID("shared"))
+	privID := int64(p.GlobalID("private"))
 	st := NewState(p, nil, nil)
 	m := NewMachine(st, NewRoundRobin())
 	// Stop at main's read of `private`, while the writer is still alive.
-	m.Break = func(s *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return tid == 0 && in.Op == bytecode.LOADG
+	m.Stop = Stop{On: AtObject, TID: 0, Space: SpaceGlobal, Obj: privID}
+	if res := m.Run(-1); res.Kind != StopBreak {
+		t.Fatalf("want break, got %v", res.Kind)
 	}
-	m.Run(-1)
-	sharedID := int64(p.GlobalID("shared"))
-	privID := int64(p.GlobalID("private"))
 	if !st.CanBeWrittenByOther(Loc{Space: SpaceGlobal, Obj: sharedID}, 0) {
 		t.Fatal("writer can still write shared")
 	}

@@ -387,17 +387,15 @@ fn main() {
 }`)
 	st := NewState(p, nil, nil)
 	m := NewMachine(st, NewRoundRobin())
-	// Stop at the yield.
-	m.Break = func(s *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return in.Op == bytecode.YIELD
-	}
+	// Stop just past the yield, at the store of x = 2 (instruction 4).
+	m.Stop = Stop{On: AtAccess, TID: 0, Instrs: 4}
 	res := m.Run(-1)
 	if res.Kind != StopBreak {
 		t.Fatalf("want break, got %v", res.Kind)
 	}
 
 	snap := st.Clone()
-	m.Break = nil
+	m.Stop = Stop{}
 	res = m.Run(-1)
 	wantFinished(t, res)
 	if v, _ := expr.ConstVal(st.Globals[0][0]); v != 2 {
@@ -415,30 +413,95 @@ fn main() {
 	}
 }
 
+// Several heap blocks, then a clone: allocations, writes and frees on
+// either side, run in either order, never show through on the other.
+func TestHeapCloneIsolation(t *testing.T) {
+	p := compileSrc(t, `
+var ready = 0
+fn main() {
+	let a = alloc(2)
+	let b = alloc(3)
+	let c = alloc(1)
+	ready = 1
+	let v = input()
+	let d = alloc(2)
+	d[1] = v
+	a[0] = v
+	b[2] = v + 1
+	free(c)
+	free(d)
+}`)
+	// Each side must end exactly as an uncloned run on its input does.
+	alone := func(in int64) string {
+		s := NewState(p, nil, []int64{in})
+		wantFinished(t, NewMachine(s, NewRoundRobin()).Run(-1))
+		return s.SharedMemoryFingerprint()
+	}
+	for _, srcFirst := range []bool{true, false} {
+		st := NewState(p, nil, []int64{5})
+		m := NewMachine(st, NewRoundRobin())
+		m.Stop = Stop{On: AtObject, TID: 0, Space: SpaceGlobal, Obj: int64(p.GlobalID("ready"))}
+		if res := m.Run(-1); res.Kind != StopBreak || st.HeapLen() != 3 {
+			t.Fatalf("want a break after 3 allocations, got %v with %d", res.Kind, st.HeapLen())
+		}
+		cl := st.Clone()
+		cl.In.Values = []int64{9}
+		sides := []*State{st, cl}
+		if !srcFirst {
+			sides[0], sides[1] = cl, st
+		}
+		for i, s := range sides {
+			other := sides[1-i]
+			before := other.MemoryFingerprint()
+			wantFinished(t, NewMachine(s, NewRoundRobin()).Run(-1))
+			if after := other.MemoryFingerprint(); after != before {
+				t.Fatalf("source first %v: side %d's run moved the other side's memory\nbefore %s\nafter  %s", srcFirst, i, before, after)
+			}
+		}
+		for _, side := range []struct {
+			s  *State
+			in int64
+		}{{st, 5}, {cl, 9}} {
+			if got, want := side.s.SharedMemoryFingerprint(), alone(side.in); got != want {
+				t.Fatalf("source first %v: input %d ends with %s, alone with %s", srcFirst, side.in, got, want)
+			}
+		}
+	}
+}
+
 func TestBreakpointAtInstrCount(t *testing.T) {
 	p := compileSrc(t, `
+var g = 0
 fn main() {
-	let a = 1
-	let b = 2
-	let c = 3
-	print(a + b + c)
+	g = 1
+	g = 2
+	g = 3
+	print(g)
 }`)
+	// Instruction 2 pushes the 2, so a stop there never matches.
 	st := NewState(p, nil, nil)
 	m := NewMachine(st, NewRoundRobin())
-	m.Break = func(s *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return tid == 0 && s.Threads[0].Instrs == 4
-	}
+	m.Stop = Stop{On: AtAccess, TID: 0, Instrs: 2}
+	wantFinished(t, m.Run(-1))
+
+	// Instruction 3 stores it: the stop parks before g = 2.
+	st = NewState(p, nil, nil)
+	m = NewMachine(st, NewRoundRobin())
+	m.Stop = Stop{On: AtAccess, TID: 0, Instrs: 3}
 	res := m.Run(-1)
 	if res.Kind != StopBreak {
 		t.Fatalf("want break, got %v", res.Kind)
 	}
-	if st.Threads[0].Instrs != 4 {
-		t.Fatalf("stopped at %d, want 4", st.Threads[0].Instrs)
+	if st.Threads[0].Instrs != 3 {
+		t.Fatalf("stopped at %d, want 3", st.Threads[0].Instrs)
 	}
-	m.Break = nil
+	if v, _ := expr.ConstVal(st.Globals[0][0]); v != 1 {
+		t.Fatalf("stopped with g=%v, want 1", st.Globals[0][0])
+	}
+	m.Stop = Stop{}
 	res = m.Run(-1)
 	wantFinished(t, res)
-	if outputText(st) != "6\n" {
+	if outputText(st) != "3\n" {
 		t.Fatalf("got %q", outputText(st))
 	}
 }
@@ -557,9 +620,8 @@ fn main() {
 	st := NewState(p, nil, []int64{5, 6})
 	st.In.NSymbolic = 2
 	m := NewMachine(st, NewRoundRobin())
-	m.Break = func(s *State, tid int, pc bytecode.PCRef, in bytecode.Instr) bool {
-		return in.Op == bytecode.YIELD
-	}
+	// Stop just past the yield, at the read of g (instruction 3).
+	m.Stop = Stop{On: AtAccess, TID: 0, Instrs: 3}
 	if res := m.Run(-1); res.Kind != StopBreak {
 		t.Fatalf("want break, got %v", res.Kind)
 	}
@@ -570,7 +632,7 @@ fn main() {
 	if v, ok := expr.ConstVal(st.Globals[0][0]); !ok || v != 77 {
 		t.Fatalf("g should be 77, got %v", st.Globals[0][0])
 	}
-	m.Break = nil
+	m.Stop = Stop{}
 	res := m.Run(-1)
 	wantFinished(t, res)
 	if got := outputText(st); got != "77 88\n" {

@@ -8,7 +8,8 @@
 //	pilrun [-args 1,2,3] [-inputs 4,5] [-budget N] [-disasm] prog.pil
 //	pilrun -workload pbzip2
 //	pilrun -workload ocean -timeout 5s
-//	pilrun -check prog.pil
+//
+// The static pre-analysis is portend -lint.
 package main
 
 import (
@@ -26,14 +27,8 @@ func main() {
 	inputsFlag := flag.String("inputs", "", "comma-separated input log values")
 	budget := flag.Int64("budget", 50_000_000, "instruction budget")
 	disasm := flag.Bool("disasm", false, "print disassembly and exit")
-	check := flag.Bool("check", false, "run the static pre-analysis and exit (no execution); -json emits the canonical artifact")
-	jsonOut := flag.Bool("json", false, "with -check, emit the byte-stable static artifact instead of diagnostics")
 	workload := flag.String("workload", "", "run a built-in workload instead of a file")
 	timeout := flag.Duration("timeout", 0, "abort the run after this long (0 = no deadline)")
-	// -parallel is accepted for interface symmetry with portend and
-	// paper-eval, but a single concrete execution is inherently
-	// sequential, so the value is not used.
-	cliutil.ParallelFlag("accepted for symmetry with portend; a single concrete execution is inherently sequential")
 	flag.Parse()
 
 	args, err := cliutil.ParseInts(*argsFlag)
@@ -60,22 +55,6 @@ func main() {
 	}
 	if inputs != nil {
 		target = target.WithInputs(inputs...)
-	}
-
-	if *check {
-		rep, err := portend.Lint(target)
-		if err != nil {
-			fatal(err)
-		}
-		if *jsonOut {
-			os.Stdout.Write(rep.Artifact())
-		} else {
-			fmt.Print(rep.String())
-		}
-		if rep.HasErrors() {
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *disasm {

@@ -1,6 +1,6 @@
 // Package cliutil holds the small helpers shared by the portend, pilrun,
 // and paper-eval commands: flag-value parsing, error exit, indentation,
-// and the flags every tool registers identically. It exists so the
+// and the -parallel flag portend and paper-eval share. It exists so the
 // commands stop carrying copy-pasted private versions of the same code.
 package cliutil
 
@@ -47,8 +47,8 @@ func Indent(s, pad string) string {
 	return strings.Join(lines, "\n")
 }
 
-// ParallelFlag registers the -parallel flag all three commands share,
-// defaulting to GOMAXPROCS.
+// ParallelFlag registers the -parallel flag portend and paper-eval
+// share, defaulting to GOMAXPROCS.
 func ParallelFlag(usage string) *int {
 	if usage == "" {
 		usage = "classification worker-pool width (1 = sequential; verdicts are identical for every width)"

@@ -33,11 +33,10 @@ func (c *Classifier) RecordReplayAnalyzer(rep *race.Report, tr *trace.Trace) (RR
 	if err != nil {
 		return RRVerdict{Harmful: true, ReplayFailed: true}, nil
 	}
-	enf := c.enforceAlternate(ctx.pre, ctx.firstTID, ctx.secondTID, ctx.space, ctx.obj, vm.NewRoundRobin())
+	enf := c.enforceAlternate(ctx.pre, ctx.st, ctx.firstTID, ctx.secondTID, ctx.space, ctx.obj, vm.NewRoundRobin())
 	switch enf.outcome {
 	case enfOK:
-		differ := enf.afterFP != ctx.postFP
-		return RRVerdict{Harmful: differ, StatesDiffer: differ}, nil
+		return RRVerdict{Harmful: enf.statesDiffer, StatesDiffer: enf.statesDiffer}, nil
 	case enfError:
 		return RRVerdict{Harmful: true, StatesDiffer: true}, nil
 	default:
@@ -70,7 +69,7 @@ func (c *Classifier) AdHocDetector(rep *race.Report, tr *trace.Trace) (AdHocVerd
 	if ctx.spinRead {
 		return AdHocVerdict{SingleOrdering: true, Classified: true}, nil
 	}
-	enf := c.enforceAlternate(ctx.pre, ctx.firstTID, ctx.secondTID, ctx.space, ctx.obj, vm.NewRoundRobin())
+	enf := c.enforceAlternate(ctx.pre, nil, ctx.firstTID, ctx.secondTID, ctx.space, ctx.obj, vm.NewRoundRobin())
 	switch enf.outcome {
 	case enfTimeout:
 		if enf.diag.Looping && enf.diag.WritableByOther {
@@ -82,60 +81,4 @@ func (c *Classifier) AdHocDetector(rep *race.Report, tr *trace.Trace) (AdHocVerd
 		}
 	}
 	return AdHocVerdict{}, nil
-}
-
-// HeuristicVerdict is a DataCollider-style [29] heuristic triage result.
-type HeuristicVerdict struct {
-	// LikelyHarmless is set when a pruning heuristic matched.
-	LikelyHarmless bool
-	// Rule names the heuristic that matched.
-	Rule string
-}
-
-// HeuristicClassifier applies DataCollider's pruning heuristics, which
-// operate on the access pair alone: same-value ("redundant") writes and
-// read-write pairs on flag-like variables are pruned as likely harmless.
-// The paper notes such heuristics "can lead to both false positives and
-// false negatives" (§2.1); the eval reports how they fare on our suite.
-func (c *Classifier) HeuristicClassifier(rep *race.Report, tr *trace.Trace) (HeuristicVerdict, error) {
-	ctx, err := c.replayToRace(rep, tr)
-	if err != nil {
-		return HeuristicVerdict{}, err
-	}
-	// Rule 1: both accesses are writes of the same value. Complete the
-	// first (pending) write on a clone of the pre-race checkpoint and
-	// compare the stored value with the post-race value of the primary.
-	if rep.First.Write && rep.Second.Write {
-		mid := ctx.pre.Clone()
-		mid.Resume(rep.First.TID)
-		mid.Cur = rep.First.TID
-		vm.NewMachine(mid, vm.Sticky{}).Step()
-		v1 := cellValue(mid, rep.Loc)
-		v2 := cellValue(ctx.st, rep.Loc)
-		if v1 != "" && v1 == v2 {
-			return HeuristicVerdict{LikelyHarmless: true, Rule: "redundant-write"}, nil
-		}
-	}
-	// Rule 2: read of a flag-like variable that only ever holds 0/1.
-	if !rep.First.Write || !rep.Second.Write {
-		post := cellValue(ctx.st, rep.Loc)
-		if post == "0" || post == "1" {
-			return HeuristicVerdict{LikelyHarmless: true, Rule: "flag-read"}, nil
-		}
-	}
-	return HeuristicVerdict{}, nil
-}
-
-func cellValue(st *vm.State, loc vm.Loc) string {
-	if loc.Space != vm.SpaceGlobal {
-		return ""
-	}
-	if int(loc.Obj) >= len(st.Globals) {
-		return ""
-	}
-	cells := st.Globals[loc.Obj]
-	if loc.Elem < 0 || loc.Elem >= int64(len(cells)) {
-		return ""
-	}
-	return cells[loc.Elem].String()
 }

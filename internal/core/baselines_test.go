@@ -112,31 +112,6 @@ func TestAdHocDetectorNegative(t *testing.T) {
 	}
 }
 
-func TestHeuristicClassifierRedundantWrite(t *testing.T) {
-	cl, rep, det := detectOne(t, kWitnessProg, "w", nil)
-	v, err := cl.HeuristicClassifier(rep, det.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.LikelyHarmless || v.Rule != "redundant-write" {
-		t.Fatalf("same-value writes should match the heuristic: %+v", v)
-	}
-}
-
-func TestHeuristicClassifierFalseNegativeOnCrash(t *testing.T) {
-	// The heuristic prunes "flag-like" read-write races — but the idx
-	// race is exactly such a pattern and is harmful: the false-negative
-	// risk the paper warns about (§2.1).
-	cl, rep, det := detectOne(t, crashAltProg, "idx", nil)
-	v, err := cl.HeuristicClassifier(rep, det.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.LikelyHarmless {
-		t.Logf("heuristic pruned a harmful race (rule %s) — the documented failure mode", v.Rule)
-	}
-}
-
 func TestBaselinesAgreeWithPortendOnMicro(t *testing.T) {
 	// On the micro-benchmark patterns the baselines and Portend agree:
 	// redundant writes are harmless by all measures.

@@ -32,7 +32,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/bytecode"
@@ -371,23 +370,6 @@ func (v *Verdict) String() string {
 		return "singleOrd"
 	}
 	return "unknown"
-}
-
-// OutputHash hash-chains the concrete rendering of outputs into a single
-// code, the mechanism §4 describes for programs with large outputs.
-func OutputHash(outs []vm.Output) uint64 {
-	h := fnv.New64a()
-	for _, o := range outs {
-		for _, p := range o.Parts {
-			if p.E != nil {
-				fmt.Fprintf(h, "|%s", p.E)
-			} else {
-				fmt.Fprintf(h, "|%s", p.Lit)
-			}
-		}
-		fmt.Fprint(h, "\n")
-	}
-	return h.Sum64()
 }
 
 // PredicateObserver watches shared writes and evaluates the semantic

@@ -229,13 +229,11 @@ func (c *Classifier) finishStats(v *Verdict, mp *mpResult, snap statsSnap, start
 }
 
 // pairCtx is the replayed primary: the machine parked immediately after
-// the second racing access, the pre-race checkpoint, and the post-race
-// memory fingerprint.
+// the second racing access, and the pre-race checkpoint.
 type pairCtx struct {
-	m      *vm.Machine
-	st     *vm.State
-	pre    *vm.State
-	postFP string
+	m   *vm.Machine
+	st  *vm.State
+	pre *vm.State
 
 	firstTID, secondTID int
 	space               vm.Space
@@ -339,7 +337,6 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 
 	ctx := &pairCtx{
 		m: m, st: st, pre: pre,
-		postFP:   st.SharedMemoryFingerprint(),
 		firstTID: rep.First.TID, secondTID: rep.Second.TID,
 		space: rep.Key.Space, obj: rep.Key.Obj,
 	}
@@ -367,19 +364,28 @@ const (
 type enforceResult struct {
 	outcome        enforceOutcome
 	st             *vm.State
-	afterFP        string       // memory right after the reversed accesses
+	statesDiffer   bool         // shared memory right after the reversed accesses differs from post's
 	final          vm.RunResult // completion result (enfOK)
 	diag           vm.SpinDiagnosis
 	err            *vm.RuntimeError
 	blockedOnFirst bool // some thread waits on a resource the suspended thread holds
 }
 
+// postRaceHook, nil in the program, sees every post-race comparison
+// enforceAlternate makes (tests pin SameSharedMemory to a rendering of
+// shared memory with it).
+var postRaceHook func(post, alt *vm.State, same bool)
+
 // enforceAlternate reverses the racing accesses: starting from the
 // pre-race checkpoint (which must be concrete), it suspends the thread
 // that originally accessed first, drives the other thread to its racing
 // access, completes both accesses in reversed order, and runs the
-// alternate to completion (§3.2).
-func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, space vm.Space, obj int64, ctl vm.Controller) enforceResult {
+// alternate to completion (§3.2). When post is the primary still parked
+// right after its racing pair, it also compares the two states' shared
+// memory right after the reversed pair (statesDiffer), the
+// Record/Replay-Analyzer's post-race criterion; callers that never read
+// the answer pass nil.
+func (c *Classifier) enforceAlternate(pre, post *vm.State, firstTID, secondTID int, space vm.Space, obj int64, ctl vm.Controller) enforceResult {
 	alt := pre.Clone()
 	alt.Suspend(firstTID)
 	m := c.newMachine(alt, ctl)
@@ -431,11 +437,18 @@ func (c *Classifier) enforceAlternate(pre *vm.State, firstTID, secondTID int, sp
 	if r := m.Step(); r.Kind == vm.StopError {
 		return enforceResult{outcome: enfError, st: alt, err: r.Err}
 	}
-	afterFP := alt.SharedMemoryFingerprint()
+	r := enforceResult{outcome: enfOK, st: alt}
+	if post != nil {
+		same := vm.SameSharedMemory(post, alt)
+		if postRaceHook != nil {
+			postRaceHook(post, alt, same)
+		}
+		r.statesDiffer = !same
+	}
 	m.Stop = vm.Stop{}
 	m.SpinTrack = false // only a timeout reads the spin data; fuse the completion
-	final := m.Run(c.Opts.RunBudget)
-	return enforceResult{outcome: enfOK, st: alt, afterFP: afterFP, final: final}
+	r.final = m.Run(c.Opts.RunBudget)
+	return r
 }
 
 // specViolationOf inspects a completed run for "basic" specification
@@ -479,7 +492,9 @@ type pairAnalysis struct {
 func (c *Classifier) singleClassify(ctx *pairCtx) pairAnalysis {
 	space, obj := ctx.raceObj()
 
-	enf := c.enforceAlternate(ctx.pre, ctx.firstTID, ctx.secondTID, space, obj, vm.NewRoundRobin())
+	// ctx.st is still parked right after the racing pair, so the
+	// alternate's post-race memory is compared with it before it runs on.
+	enf := c.enforceAlternate(ctx.pre, ctx.st, ctx.firstTID, ctx.secondTID, space, obj, vm.NewRoundRobin())
 
 	// Primary continuation (replaying the rest of the input trace).
 	primRes := ctx.m.Run(c.Opts.RunBudget)
@@ -525,7 +540,7 @@ func (c *Classifier) singleClassify(ctx *pairCtx) pairAnalysis {
 
 	// Enforced: compare post-race states (the baseline criterion) and
 	// watch both executions for specification violations.
-	a := pairAnalysis{statesDiffer: enf.afterFP != ctx.postFP}
+	a := pairAnalysis{statesDiffer: enf.statesDiffer}
 
 	if cons, det, bad := specViolationOf(enf.final, enf.st); bad {
 		a.class, a.consequence, a.detail = SpecViolated, cons, "alternate: "+det

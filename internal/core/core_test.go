@@ -445,20 +445,6 @@ func TestByClassAndRank(t *testing.T) {
 	}
 }
 
-func TestOutputHashStable(t *testing.T) {
-	res1 := classify(t, kWitnessProg, DefaultOptions(), nil, nil)
-	res2 := classify(t, kWitnessProg, DefaultOptions(), nil, nil)
-	h1 := OutputHash(res1.Detection.Final.Outputs)
-	h2 := OutputHash(res2.Detection.Final.Outputs)
-	if h1 != h2 {
-		t.Fatal("output hash must be deterministic")
-	}
-	res3 := classify(t, outDiffProg, DefaultOptions(), nil, nil)
-	if OutputHash(res3.Detection.Final.Outputs) == h1 {
-		t.Fatal("different outputs should hash differently")
-	}
-}
-
 func TestStatsPopulated(t *testing.T) {
 	res := classify(t, multiPathOutDiffProg, DefaultOptions(), nil, []int64{0})
 	v := one(t, res)

@@ -340,7 +340,7 @@ func (c *Classifier) evalAlternate(p *primaryPath, pi, j int, space vm.Space, ob
 	// Alternate executions are fully concrete (§3.3.1): bind every
 	// symbol to the path's witness values.
 	pre.Concretize(p.st.Hints)
-	enf := c.enforceAlternate(pre, p.firstTID, p.secondTID, space, obj, ctl)
+	enf := c.enforceAlternate(pre, nil, p.firstTID, p.secondTID, space, obj, ctl)
 	ev := altEval{outcome: enf.outcome}
 	switch enf.outcome {
 	case enfError:

@@ -9,7 +9,7 @@
 // is feasible under the accumulated path condition. If so, the state is
 // cloned and the clone's hints are replaced with a model of the negated
 // constraint — the clone then naturally follows the other side when it
-// resumes, and the VM's concolic policy records the matching path
+// resumes, and the VM, which follows the hints, records the matching path
 // constraint. This reproduces KLEE-style state forking on top of a plain
 // concolic interpreter.
 package explore
@@ -98,7 +98,7 @@ func (e *Engine) RunForking(m *vm.Machine, budget int64, onFork func(sib *vm.Sta
 			}
 		}
 
-		// Execute the branch instruction itself (the concolic policy
+		// Execute the branch instruction itself (the VM follows the hints and
 		// records the taken side's constraint), then resume running.
 		stepRes := m.Step()
 		budget -= stepRes.Steps

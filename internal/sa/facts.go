@@ -151,7 +151,7 @@ func (f *Facts) reachAt(fn, pc int) *reachSet {
 	return &row[pc]
 }
 
-// Render formats the facts for humans (the -lint / -check output).
+// Render formats the facts for humans (the portend -lint output).
 func (f *Facts) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "static analysis: %s\n", f.Program)

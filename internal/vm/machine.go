@@ -16,42 +16,6 @@ type Controller interface {
 	PickNext(st *State, runnable []int) int
 }
 
-// BranchPolicy decides symbolic control flow. The concolic default
-// follows the state's hint assignment; the multi-path explorer forks.
-type BranchPolicy interface {
-	// OnSymbolicBranch reports whether cond should be treated as true.
-	// The machine records the matching path constraint itself.
-	OnSymbolicBranch(m *Machine, cond expr.Expr) (bool, *RuntimeError)
-	// Concretize picks a concrete value for e; the machine records
-	// e == value as a path constraint.
-	Concretize(m *Machine, e expr.Expr) (int64, *RuntimeError)
-}
-
-// ConcolicPolicy resolves symbolic branches using the state's concolic
-// hints: every symbol carries the concrete value observed (or chosen) for
-// this path, so evaluation always succeeds.
-type ConcolicPolicy struct{}
-
-// OnSymbolicBranch follows the hinted direction.
-func (ConcolicPolicy) OnSymbolicBranch(m *Machine, cond expr.Expr) (bool, *RuntimeError) {
-	v, err := m.St.HintEval(cond)
-	if err != nil {
-		th := m.St.Threads[m.St.Cur]
-		return false, m.St.fail(ErrStack, th.ID, th.PCRef(m.St.Prog), "unhinted symbol in branch: "+err.Error())
-	}
-	return v != 0, nil
-}
-
-// Concretize evaluates e under the hints.
-func (ConcolicPolicy) Concretize(m *Machine, e expr.Expr) (int64, *RuntimeError) {
-	v, err := m.St.HintEval(e)
-	if err != nil {
-		th := m.St.Threads[m.St.Cur]
-		return 0, m.St.fail(ErrStack, th.ID, th.PCRef(m.St.Prog), "unhinted symbol in value: "+err.Error())
-	}
-	return v, nil
-}
-
 // Stop is a declarative breakpoint: Run parks with StopBreak before the
 // current thread's next instruction when a condition in On holds. The
 // zero Stop never matches, and Step sets the stop aside.
@@ -125,10 +89,9 @@ func forkCond(fr *Frame, op bytecode.OpCode) expr.Expr {
 // symbolic branching. The Machine itself is transient (not checkpointed);
 // all persistent execution state lives in State.
 type Machine struct {
-	St     *State
-	Ctl    Controller
-	Policy BranchPolicy
-	Stop   Stop
+	St   *State
+	Ctl  Controller
+	Stop Stop
 
 	// SpinTrack enables the loop diagnosis used on alternate-enforcement
 	// timeouts (infinite loop vs ad-hoc synchronization, §3.5). While it
@@ -176,10 +139,9 @@ type Machine struct {
 	probe periodProbe // spin-tracked runs' period detector (period.go)
 }
 
-// NewMachine returns a machine over st with the given controller and the
-// concolic branch policy.
+// NewMachine returns a machine over st with the given controller.
 func NewMachine(st *State, ctl Controller) *Machine {
-	return &Machine{St: st, Ctl: ctl, Policy: ConcolicPolicy{}, skipTID: -1}
+	return &Machine{St: st, Ctl: ctl, skipTID: -1}
 }
 
 func (m *Machine) pick(runnable []int) {
@@ -394,29 +356,34 @@ func (m *Machine) pop(th *Thread, fr *Frame, pcref bytecode.PCRef) (expr.Expr, *
 	return v, nil
 }
 
+// concretize picks e's value under the state's concolic hints (every
+// symbol carries the value observed or chosen for this path) and records
+// e == value as a path constraint.
 func (m *Machine) concretize(e expr.Expr, th *Thread, pcref bytecode.PCRef) (int64, *RuntimeError) {
 	if v, ok := expr.ConstVal(e); ok {
 		return v, nil
 	}
-	v, rerr := m.Policy.Concretize(m, e)
-	if rerr != nil {
-		return 0, rerr
+	v, err := m.St.HintEval(e)
+	if err != nil {
+		return 0, m.St.fail(ErrStack, th.ID, pcref, "unhinted symbol in value: "+err.Error())
 	}
 	m.St.AddConstraint(expr.Eq(e, expr.NewConst(v)))
 	return v, nil
 }
 
-// branch resolves a possibly-symbolic 0/1 condition, recording the path
-// constraint for the taken side.
+// branch resolves a possibly-symbolic 0/1 condition the way the state's
+// concolic hints direct, recording the path constraint for the taken
+// side.
 func (m *Machine) branch(cond expr.Expr, th *Thread, pcref bytecode.PCRef) (bool, *RuntimeError) {
 	if v, ok := expr.ConstVal(cond); ok {
 		return v != 0, nil
 	}
 	norm := expr.NeZero(cond)
-	taken, rerr := m.Policy.OnSymbolicBranch(m, norm)
-	if rerr != nil {
-		return false, rerr
+	v, err := m.St.HintEval(norm)
+	if err != nil {
+		return false, m.St.fail(ErrStack, th.ID, pcref, "unhinted symbol in branch: "+err.Error())
 	}
+	taken := v != 0
 	if taken {
 		m.St.AddConstraint(norm)
 	} else {

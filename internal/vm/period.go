@@ -33,11 +33,11 @@ import (
 // spin data and the Counters equal those of the uninterrupted run.
 //
 // The probe runs only when the future provably depends on nothing
-// outside the configuration: a RoundRobin or Sticky controller, the
-// concolic branch policy, no observers, a stop that reads no step
-// counter, and a finite budget large enough for both windows to start
-// after a snapshot. Random-schedule runs, replays, observer-carrying
-// runs and runs to a step-counted stop take the plain path.
+// outside the configuration: a RoundRobin or Sticky controller, no
+// observers, a stop that reads no step counter, and a finite budget
+// large enough for both windows to start after a snapshot.
+// Random-schedule runs, replays, observer-carrying runs and runs to a
+// step-counted stop take the plain path.
 
 const (
 	// periodFirst is the run step of the first configuration snapshot
@@ -112,9 +112,6 @@ func (p *periodProbe) reset() {
 func (m *Machine) probeable(budget int64) bool {
 	if !periodSkip || !m.SpinTrack || budget < periodMinBudget || len(m.St.Observers) > 0 ||
 		m.Stop.On&(AtAccess|AtSteps) != 0 {
-		return false
-	}
-	if _, ok := m.Policy.(ConcolicPolicy); !ok {
 		return false
 	}
 	_, ok := ctlPos(m.Ctl)
@@ -293,16 +290,7 @@ func sameConfig(a, b *State) bool {
 			return false
 		}
 	}
-	if len(a.Globals) != len(b.Globals) {
-		return false
-	}
-	for i, cells := range a.Globals {
-		if !sameExprs(cells, b.Globals[i]) {
-			return false
-		}
-	}
-	if !sameFunc(a.heap, b.heap, sameBlock) ||
-		!sameSlice(a.Mutexes, b.Mutexes) || !sameFunc(a.Conds, b.Conds, sameCond) ||
+	if !SameSharedMemory(a, b) || !sameSlice(a.Mutexes, b.Mutexes) || !sameFunc(a.Conds, b.Conds, sameCond) ||
 		!sameFunc(a.Barriers, b.Barriers, sameBarrier) ||
 		!sameFunc(a.Outputs, b.Outputs, sameOutput) || !sameSlice(a.In.Values, b.In.Values) ||
 		!sameSlice(a.Args, b.Args) || !sameSlice(a.SymArgs, b.SymArgs) ||
@@ -316,6 +304,18 @@ func sameConfig(a, b *State) bool {
 		}
 	}
 	return true
+}
+
+// SameSharedMemory reports whether a and b hold the same shared memory:
+// every global cell, and every heap block with its cells and freed flag.
+// Thread-private frames, scheduling state and counters are not compared.
+// This is the Record/Replay-Analyzer's [45] post-race criterion: right
+// after the race both racing accesses have executed in both orderings,
+// but the threads' own progress necessarily differs, so only shared
+// memory is a meaningful comparand. A layer the two states still share
+// since a common snapshot is equal by pointer without being walked.
+func SameSharedMemory(a, b *State) bool {
+	return sameFunc(a.Globals, b.Globals, sameExprs) && sameFunc(a.heap, b.heap, sameBlock)
 }
 
 func sameThread(a, b *Thread) bool {

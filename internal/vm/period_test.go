@@ -603,3 +603,52 @@ fn main() {
 		}
 	}
 }
+
+// TestSameSharedMemory perturbs one part of a populated state at a time
+// on a clone (through the write barriers, so the original stays intact).
+// The post-race criterion must see every change to a global or heap
+// cell, a freed flag or the heap's length, and ignore thread-private
+// state and scheduling.
+func TestSameSharedMemory(t *testing.T) {
+	p := compileSrc(t, `
+var g = 3
+var arr[4]
+fn worker() {
+	let y = 1
+	while g == 3 { yield() }
+}
+fn main() {
+	let h = alloc(2)
+	h[0] = 7
+	let w = spawn worker()
+	while g == 3 { yield() }
+}`)
+	base := NewState(p, nil, nil)
+	if res := NewMachine(base, NewRoundRobin()).Run(500); res.Kind != StopBudget || len(base.Threads) != 2 || base.HeapLen() != 1 {
+		t.Fatalf("setup run: %+v, %d threads, %d heap blocks", res, len(base.Threads), base.HeapLen())
+	}
+	c7 := expr.NewConst(7000)
+	top := func(c *State, tid int) *Frame { return c.wtop(c.wthread(tid)) }
+	for _, tc := range []struct {
+		name    string
+		perturb func(c *State)
+		same    bool
+	}{
+		{"global scalar", func(c *State) { c.wglobals(); c.Globals[0][0] = c7 }, false},
+		{"global array element", func(c *State) { c.wglobals(); c.Globals[1][3] = c7 }, false},
+		{"heap cell", func(c *State) { c.wblock(1, c.heapBlock(1)).Cells[1] = c7 }, false},
+		{"heap freed", func(c *State) { c.wblock(1, c.heapBlock(1)).Freed = true }, false},
+		{"extra heap block", func(c *State) { c.NextRef++; c.allocBlock([]expr.Expr{c7}) }, false},
+		{"unchanged", func(c *State) {}, true},
+		{"privatized, equal cells", func(c *State) { c.wglobals(); c.wblock(1, c.heapBlock(1)) }, true},
+		{"local", func(c *State) { top(c, 1).Locals[0] = c7 }, true},
+		{"operand stack", func(c *State) { f := top(c, 1); f.Stack = append(f.Stack, c7) }, true},
+		{"thread status", func(c *State) { c.wthread(1).Status = ThBlockedMutex }, true},
+	} {
+		c := base.Clone()
+		tc.perturb(c)
+		if got, back := SameSharedMemory(base, c), SameSharedMemory(c, base); got != tc.same || back != tc.same {
+			t.Errorf("%s: SameSharedMemory = %v (reversed %v), want %v", tc.name, got, back, tc.same)
+		}
+	}
+}

@@ -839,9 +839,7 @@ func argSymName(i int) string   { return fmt.Sprintf("arg%d", i) }
 func inputSymName(i int) string { return fmt.Sprintf("in%d", i) }
 
 // MemoryFingerprint summarizes globals, heap and thread-local memory as a
-// canonical string; the Record/Replay-Analyzer baseline [45] compares
-// these fingerprints immediately after the race ("post-race state
-// comparison").
+// canonical string, one rendered cell at a time.
 func (st *State) MemoryFingerprint() string {
 	var b strings.Builder
 	for i, cells := range st.Globals {
@@ -899,30 +897,4 @@ func (st *State) notifySync(ev SyncEvent) {
 	for _, o := range st.Observers {
 		o.OnSync(st, ev)
 	}
-}
-
-// SharedMemoryFingerprint summarizes only the shared address spaces
-// (globals and heap), excluding thread-private frames and scheduler
-// positions. The Record/Replay-Analyzer baseline [45] compares these
-// fingerprints "immediately after the race": by that point both racing
-// accesses have executed in both interleavings, but the threads' own
-// progress necessarily differs between the orderings, so only shared
-// memory is a meaningful comparand.
-func (st *State) SharedMemoryFingerprint() string {
-	var b strings.Builder
-	for i, cells := range st.Globals {
-		fmt.Fprintf(&b, "g%d:", i)
-		for _, c := range cells {
-			b.WriteString(c.String())
-			b.WriteByte(',')
-		}
-	}
-	for i, blk := range st.heap {
-		fmt.Fprintf(&b, "h%d(f=%v):", i+1, blk.Freed)
-		for _, c := range blk.Cells {
-			b.WriteString(c.String())
-			b.WriteByte(',')
-		}
-	}
-	return b.String()
 }

@@ -218,13 +218,13 @@ fn main() {
 	if res := m.Run(-1); res.Kind != StopBreak {
 		t.Fatalf("want break, got %v", res.Kind)
 	}
-	sharedBefore := st.SharedMemoryFingerprint()
+	before := st.Clone()
 	fullBefore := st.MemoryFingerprint()
 	m.Stop = Stop{}
 	m.Run(-1)
 	// The second g=1 is redundant: shared memory unchanged, but the
 	// thread advanced, so the full fingerprint must differ.
-	if st.SharedMemoryFingerprint() != sharedBefore {
+	if !SameSharedMemory(st, before) {
 		t.Fatal("shared memory should be unchanged by a redundant write")
 	}
 	if st.MemoryFingerprint() == fullBefore {

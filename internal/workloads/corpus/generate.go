@@ -86,15 +86,6 @@ var generators = []struct {
 	}},
 }
 
-// GeneratedFamilies returns the families the generator can stamp out.
-func GeneratedFamilies() []Family {
-	out := make([]Family, 0, len(generators))
-	for _, g := range generators {
-		out = append(out, g.fam)
-	}
-	return out
-}
-
 // Generate returns perFamily labeled instances of every generator
 // template, deterministically derived from seed.
 func Generate(seed uint64, perFamily int) []*Program {

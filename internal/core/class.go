@@ -195,17 +195,13 @@ type Options struct {
 	// 0; without it a zero Seed falls back to DefaultOptions().Seed.
 	SeedSet bool
 
-	// Tier, when non-nil, supplies a run-outliving checkpoint store
-	// instead of the per-run one RunStream would otherwise create. The
-	// caller owns the soundness contract: a tier may only be shared
+	// Tier, when non-nil, is the checkpoint store every classifier of
+	// the run resumes from and deposits into, instead of the per-run tier
+	// RunStream would otherwise create. Its contents outlive the run, so
+	// the caller owns the soundness contract: a tier may only be shared
 	// between runs of the identical (program, args, inputs, options) —
 	// see CacheTier. Ignored when NoCache is set.
 	Tier *CacheTier
-
-	// shared carries the per-run checkpoint store that RunStream threads
-	// through every classifier it builds. nil lets each Classifier create
-	// its own private one.
-	shared *sharedCaches
 
 	// Parallel is the worker-pool width of the classification engine:
 	// races classify concurrently in Run, and within one race the

@@ -20,11 +20,11 @@ type Classifier struct {
 	Opts Options
 	sol  *solver.Solver
 
-	// shared is the run-wide replay checkpoint store; nil when
+	// tier holds the run-wide replay checkpoint store; nil when
 	// Options.NoCache disabled it. ckptHits counts this classifier's
 	// replays and multi-path explorations that resumed from the store; it
 	// is only touched from the goroutine driving ClassifyCtx.
-	shared   *sharedCaches
+	tier     *CacheTier
 	ckptHits int
 
 	// prunedSchedules counts worklist items the static dead-item prune
@@ -70,7 +70,8 @@ func (c *Classifier) newMachine(st *vm.State, ctl vm.Controller) *vm.Machine {
 // New returns a classifier; zero fields of opts fall back to defaults.
 // A Seed of 0 is treated as "unset" only when opts.SeedSet is false —
 // callers that mark the seed explicit can pin seed 0 and have it
-// round-trip unchanged.
+// round-trip unchanged. Without opts.Tier (and unless NoCache is set)
+// the classifier gets a private checkpoint tier.
 func New(prog *bytecode.Program, opts Options) *Classifier {
 	d := DefaultOptions()
 	if opts.Mp <= 0 {
@@ -97,16 +98,7 @@ func New(prog *bytecode.Program, opts Options) *Classifier {
 	if opts.Seed == 0 && !opts.SeedSet {
 		opts.Seed = d.Seed
 	}
-	shared := opts.shared
-	if shared == nil && !opts.NoCache {
-		if opts.Tier != nil {
-			opts.Tier.bindPredicates(opts.Predicates)
-			shared = opts.Tier.shared
-		} else {
-			shared = newSharedCaches()
-		}
-	}
-	return &Classifier{Prog: prog, Opts: opts, sol: solver.New(opts.Solver), shared: shared}
+	return &Classifier{Prog: prog, Opts: opts, sol: solver.New(opts.Solver), tier: runTier(opts)}
 }
 
 // Classify runs the full Portend analysis on one race report: replay,
@@ -289,7 +281,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		ctl    vm.Controller
 		budget = c.Opts.RunBudget
 	)
-	store := c.shared.storeFor(tr)
+	store := c.tier.storeFor(tr)
 	if store != nil && rep.First.Global > 0 {
 		if e, steps, ok := store.Resume(rep.First.Global, nil); ok {
 			st, ctl = e.State, e.Ctl

@@ -75,27 +75,19 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	}
 
 	// All races of this run share one trace, so they share one replay
-	// checkpoint store. The bundle exists before detection runs: the
-	// detection pass itself deposits replay checkpoints — at each new
-	// race cluster's detection point and on a periodic cadence — so even
-	// the trace's first classification resumes instead of paying a full
-	// root replay. The store cannot change a verdict (resume is
-	// deterministic replay); it only shifts time, which the determinism
-	// suite asserts by diffing runs with the store on and off.
-	// A caller-supplied CacheTier replaces the per-run bundle: its
-	// contents outlive the run, so a repeat submission of the identical
-	// (program, args, inputs, options) starts warm. The tier owner calls
-	// BeginRun/end around RunStream; here the tier's bundle simply takes
-	// the per-run bundle's place.
+	// checkpoint store: the caller's tier, whose contents outlive the run
+	// so a repeat submission of the identical (program, args, inputs,
+	// options) starts warm, or else a per-run tier. It exists before
+	// detection runs: the detection pass itself deposits replay
+	// checkpoints — at each new race cluster's detection point and on a
+	// periodic cadence — so even the trace's first classification resumes
+	// instead of paying a full root replay. The store cannot change a
+	// verdict (resume is deterministic replay); it only shifts time,
+	// which the determinism suite asserts by diffing runs with the store
+	// on and off. A caller that passes a tier calls BeginRun/end around
+	// RunStream.
 	inner := opts
-	if !inner.NoCache && inner.shared == nil {
-		if inner.Tier != nil {
-			inner.Tier.bindPredicates(inner.Predicates)
-			inner.shared = inner.Tier.shared
-		} else {
-			inner.shared = newSharedCaches()
-		}
-	}
+	inner.Tier = runTier(opts)
 	// Static pre-analysis: run the internal/sa pass once per run (unless
 	// the caller supplied precomputed facts, e.g. the server's
 	// admission-time artifact) and thread the facts through every
@@ -106,7 +98,7 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	if !inner.NoStaticPrune && inner.StaticFacts == nil {
 		inner.StaticFacts = sa.Analyze(p)
 	}
-	det := race.DetectWith(ctx, p, args, inputs, budget, detectionConfig(inner, inner.shared))
+	det := race.DetectWith(ctx, p, args, inputs, budget, detectionConfig(inner))
 	res.Detection = det
 	if err := ctx.Err(); err != nil {
 		return res, err
@@ -213,8 +205,8 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 }
 
 // detectionConfig builds the detection-phase checkpointing hooks for a
-// run backed by the given checkpoint store (nil — caching off — yields
-// the zero config and plain detection).
+// run backed by opts.Tier's checkpoint store (a nil tier — caching off —
+// yields the zero config and plain detection).
 //
 // Detection runs with the classifier's own observers attached (the
 // all-object access counter, and the predicate observer when predicates
@@ -224,8 +216,8 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 // replayer over the live trace pinned at the park's decision count —
 // resuming it continues the recorded schedule exactly where the
 // recording stood.
-func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
-	if shared == nil {
+func detectionConfig(opts Options) race.DetectConfig {
+	if opts.Tier == nil {
 		return race.DetectConfig{}
 	}
 	var extra []vm.Observer
@@ -237,7 +229,7 @@ func detectionConfig(opts Options, shared *sharedCaches) race.DetectConfig {
 		Extra:         extra,
 		SnapshotEvery: DefaultDetectCheckpointEvery,
 		Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
-			if store := shared.storeFor(tr); store != nil {
+			if store := opts.Tier.storeFor(tr); store != nil {
 				store.Add(ckpt.Entry{State: st, Ctl: trace.ReplayerAt(tr, vm.NewRoundRobin(), decisions)})
 			}
 		},

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/explore"
-	"repro/internal/expr"
 	"repro/internal/race"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -82,7 +81,7 @@ type mpResult struct {
 // from the root.
 func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) *pathItem {
 	limit := rep.First.Global
-	if store := c.shared.storeFor(tr); store != nil && limit > 0 {
+	if store := c.tier.storeFor(tr); store != nil && limit > 0 {
 		accept := func(st *vm.State) bool {
 			ac := findAccessCounter(st)
 			if ac == nil || ac.touchedObj(rep.Key.Space, rep.Key.Obj) {
@@ -457,17 +456,30 @@ func (c *Classifier) multiPath(rep *race.Report, tr *trace.Trace) *mpResult {
 }
 
 // altSeed derives the RNG seed for alternate schedule j of primary pi by
-// chaining the SplitMix64 finalizer (expr.Mix64, a bijection on uint64)
-// over (Seed, pi, j). The previous linear form (Seed + 131·pi + 17·j + 1)
+// chaining the SplitMix64 finalizer (mix64, a bijection on uint64) over
+// (Seed, pi, j). The previous linear form (Seed + 131·pi + 17·j + 1)
 // collided for every pair of (pi, j) points differing by a multiple of
 // (+17, −131) — two distinct alternates would silently run the same
 // schedule, shrinking the real k below what the verdict claimed. With
-// the bijective chain, a collision would require Mix64(h⊕(pi+1)) and
-// Mix64(h⊕(pi′+1)) to land exactly (j+1)⊕(j′+1) apart, which no
+// the bijective chain, a collision would require mix64(h⊕(pi+1)) and
+// mix64(h⊕(pi′+1)) to land exactly (j+1)⊕(j′+1) apart, which no
 // realistic Mp×Ma grid produces.
 func altSeed(seed uint64, pi, j int) uint64 {
-	h := expr.Mix64(seed)
-	h = expr.Mix64(h ^ uint64(pi+1))
-	h = expr.Mix64(h ^ uint64(j+1))
+	h := mix64(seed)
+	h = mix64(h ^ uint64(pi+1))
+	h = mix64(h ^ uint64(j+1))
 	return h
+}
+
+// mix64 is the SplitMix64 finalizer. Every step (odd-constant add,
+// xor-shift, odd-constant multiply) is a bijection on uint64, so the
+// whole function is one too: distinct single-word inputs never collide.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

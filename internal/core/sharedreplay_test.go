@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bytecode"
+	"repro/internal/race"
 )
 
 // TestSeedZeroRoundTrips pins the has-seed semantics: an explicitly
@@ -166,6 +167,44 @@ fn main() {
 	join(tc)
 	print("acc=", acc)
 }`
+
+// TestStoreBindsOneTrace pins the checkpoint store's trace binding: a
+// classifier built without a tier resumes from its own deposits while it
+// classifies the races of one trace, and declines the store for a race
+// of another trace, even one recorded from the same program, because a
+// checkpoint is a position within one recorded schedule.
+func TestStoreBindsOneTrace(t *testing.T) {
+	p := bytecode.MustCompile(multiRaceSrc, "bindtrace", bytecode.Options{})
+	opts := DefaultOptions()
+	opts.Parallel = 1
+	c := New(p, opts)
+
+	det := race.Detect(p, nil, nil, c.Opts.RunBudget)
+	if len(det.Reports) != 3 {
+		t.Fatalf("expected 3 races, got %d", len(det.Reports))
+	}
+	hits := 0
+	for _, rep := range det.Reports {
+		v, err := c.Classify(rep, det.Trace)
+		if err != nil {
+			t.Fatalf("classify %s: %v", rep.ID(), err)
+		}
+		hits += v.Stats.CheckpointHits
+	}
+	if hits < 1 {
+		t.Fatal("no classification resumed from the classifier's own deposits")
+	}
+	t.Logf("%d checkpoint hits on the first trace", hits)
+
+	other := race.Detect(p, nil, nil, c.Opts.RunBudget)
+	v, err := c.Classify(other.Reports[len(other.Reports)-1], other.Trace)
+	if err != nil {
+		t.Fatalf("classify on the second trace: %v", err)
+	}
+	if v.Stats.CheckpointHits != 0 {
+		t.Errorf("a race of another trace resumed from the store %d times", v.Stats.CheckpointHits)
+	}
+}
 
 // TestCheckpointResumeUsedAndInvisible asserts the tentpole's two
 // halves at engine level: later races' replays actually resume from the

@@ -239,11 +239,13 @@ type pendingPred struct {
 // names differ has broken the tier sharing contract; its observers stay
 // unbound (losing only predicate sensitivity on resumed paths), which
 // is the least surprising behavior for input the contract excludes.
+// The tier lock is held while binding, so a concurrent run's classifier
+// cannot resume a restored observer before its functions are set.
 func (t *CacheTier) bindPredicates(preds []Predicate) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	pend := t.pendingPreds
 	t.pendingPreds = nil
-	t.mu.Unlock()
 	for _, p := range pend {
 		if len(p.names) != len(preds) {
 			continue
@@ -353,11 +355,8 @@ func (t *CacheTier) SnapshotIfIdle() (snap *TierSnapshot, ok bool) {
 func (t *CacheTier) snapshotLocked() *TierSnapshot {
 	runs := t.runs
 
-	sh := t.shared
-	sh.mu.Lock()
-	tr := sh.tr
-	sh.mu.Unlock()
-	cx := sh.store.Export()
+	tr := t.tr
+	cx := t.store.Export()
 	if tr == nil {
 		// Restore and BeginRun leave the binding clear until detection
 		// binds a new trace; the stored replayers still carry one, and
@@ -457,7 +456,7 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 	}
 
 	// Everything decoded; import atomically from here on.
-	t.shared.store.Import(cx)
+	t.store.Import(cx)
 	t.mu.Lock()
 	t.runs = snap.Runs
 	t.pendingPreds = pend
@@ -469,5 +468,5 @@ func (t *CacheTier) Restore(snap *TierSnapshot) error {
 // checkpoint state. This is what the server's memory-budget registry and
 // the portend_tier_bytes gauge report instead of a flat per-tier guess.
 func (t *CacheTier) MemBytes() int64 {
-	return t.shared.store.MemBytes()
+	return t.store.MemBytes()
 }

@@ -1,10 +1,21 @@
 package core
 
-import "sync"
+import (
+	"sync"
 
-// CacheTier is a run-outliving handle on the engine's reuse machinery —
-// the replay checkpoint store — for callers (portendd) that analyze the
-// same submission repeatedly and want the second run to start warm.
+	"repro/internal/ckpt"
+	"repro/internal/trace"
+)
+
+// CacheTier is the engine's one reuse handle: the replay checkpoint
+// store and the trace it serves. Replays, and multi-path explorations
+// whose skipped prefix is symbolic-safe, resume from the nearest prior
+// snapshot instead of the program's initial state; the detection pass
+// and classification replays populate it. RunStream makes a per-run
+// tier when the caller passes none, and a Classifier built by New
+// without one gets a private tier, so repeated Classify calls on it
+// still reuse work. portendd keeps one tier per submission and passes
+// it to every run of that submission, so a repeat run starts warm.
 //
 // Soundness contract: a tier may only be shared between runs of the
 // identical (program, args, inputs, engine options). The engine is
@@ -16,15 +27,16 @@ import "sync"
 // enforces the key by addressing tiers with a hash of the canonical
 // submission.
 //
-// The checkpoint store binds to one *trace.Trace by pointer identity.
-// BeginRun clears that binding when no other run is active, letting the
-// new run's trace bind; while runs overlap, later runs simply fail the
+// The store binds to one *trace.Trace by pointer identity. BeginRun
+// clears that binding when no other run is active, letting the new
+// run's trace bind; while runs overlap, later runs simply fail the
 // binding and run checkpoint-cold — degraded warmth, never degraded
 // correctness.
 type CacheTier struct {
-	shared *sharedCaches
+	store *ckpt.Store
 
 	mu     sync.Mutex
+	tr     *trace.Trace // the trace the store serves; nil until one binds
 	active int
 	runs   int64
 
@@ -36,21 +48,59 @@ type CacheTier struct {
 }
 
 // NewCacheTier builds an empty tier whose checkpoint store holds up to
-// ckpt.DefaultMax entries. opts no longer sizes anything; the parameter
-// stays for existing callers.
+// ckpt.DefaultMax entries. RunStream builds one per run when the caller
+// passes none; portendd builds one per submission and keeps it across
+// runs. opts no longer sizes anything; the parameter stays for existing
+// callers.
 func NewCacheTier(opts Options) *CacheTier {
-	return &CacheTier{shared: newSharedCaches()}
+	return &CacheTier{store: ckpt.NewStore(ckpt.DefaultMax)}
+}
+
+// runTier returns the tier a run or classifier under opts uses: none
+// with NoCache, else the caller's tier with its restored predicate
+// observers bound, else a fresh private one.
+func runTier(opts Options) *CacheTier {
+	switch {
+	case opts.NoCache:
+		return nil
+	case opts.Tier == nil:
+		return NewCacheTier(opts)
+	}
+	opts.Tier.bindPredicates(opts.Predicates)
+	return opts.Tier
+}
+
+// storeFor returns the checkpoint store serving tr, or nil (also on a
+// nil tier: caching off). The tier binds to the first trace it is asked
+// about. Checkpoints are positions within one recorded schedule, so a
+// classifier asked about a different trace gets no store rather than
+// resume from another execution's states.
+func (t *CacheTier) storeFor(tr *trace.Trace) *ckpt.Store {
+	if t == nil || tr == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.tr == nil {
+		t.tr = tr
+	}
+	if t.tr != tr {
+		return nil
+	}
+	return t.store
 }
 
 // BeginRun marks a run as using the tier and returns its end function.
-// On the transition from idle, the checkpoint store's trace binding is
-// released so the run's freshly recorded trace can bind; entry contents
-// are kept — that is the point of the tier. The returned end is
-// idempotent and must be called when the run finishes.
+// On the transition from idle, the store's trace binding is cleared so
+// the run's freshly recorded trace can bind; entry contents are kept —
+// that is the point of the tier, and the soundness contract makes
+// entries recorded against the previous run's trace valid for the next.
+// The returned end is idempotent and must be called when the run
+// finishes.
 func (t *CacheTier) BeginRun() (end func()) {
 	t.mu.Lock()
 	if t.active == 0 {
-		t.shared.unbind()
+		t.tr = nil
 	}
 	t.active++
 	t.runs++
@@ -105,7 +155,7 @@ func (s TierStats) Warm() bool {
 
 // Stats snapshots the tier's checkpoint store.
 func (t *CacheTier) Stats() TierStats {
-	st := t.shared.store
+	st := t.store
 	return TierStats{
 		Checkpoints:       st.Len(),
 		CheckpointHits:    st.Hits(),

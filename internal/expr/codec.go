@@ -82,8 +82,7 @@ func (e *Encoder) Nodes() []NodeWire { return e.nodes }
 // with the input. Nodes are rebuilt through the package constructors:
 // every stored tree was constructor-built (a normal form the constructors
 // are fixpoints of), so re-folding reproduces the exact structure — and
-// restores the memoized hashes and intern-table sharing serialization
-// cannot carry.
+// restores the intern-table sharing serialization cannot carry.
 func DecodeNodes(nodes []NodeWire) ([]Expr, error) {
 	built := make([]Expr, len(nodes))
 	child := func(i int, ref int32) (Expr, error) {

@@ -106,8 +106,6 @@ type Expr interface {
 // Const is a concrete 64-bit integer.
 type Const struct {
 	Val int64
-
-	h uint64 // memoized structural hash; 0 = not memoized
 }
 
 // Sym is a symbolic variable (an unconstrained program input). Symbols are
@@ -115,24 +113,18 @@ type Const struct {
 // ("input:3", "arg:1", ...).
 type Sym struct {
 	Name string
-
-	h uint64
 }
 
 // Unary applies Op to a single operand.
 type Unary struct {
 	Op Op
 	X  Expr
-
-	h uint64
 }
 
 // Binary applies Op to two operands.
 type Binary struct {
 	Op   Op
 	L, R Expr
-
-	h uint64
 }
 
 func (*Const) isExpr()  {}
@@ -165,8 +157,7 @@ const (
 var internTab = func() [InternMax - InternMin]*Const {
 	var t [InternMax - InternMin]*Const
 	for i := range t {
-		v := int64(i) + InternMin
-		t[i] = &Const{Val: v, h: hashConst(v)}
+		t[i] = &Const{Val: int64(i) + InternMin}
 	}
 	return t
 }()
@@ -189,7 +180,7 @@ func NewConst(v int64) *Const {
 	if v >= InternMin && v < InternMax {
 		return internTab[v-InternMin]
 	}
-	return &Const{Val: v, h: hashConst(v)}
+	return &Const{Val: v}
 }
 
 // Bool converts a Go bool to the canonical 0/1 Const.
@@ -201,7 +192,7 @@ func Bool(b bool) *Const {
 }
 
 // NewSym returns a symbolic variable with the given name.
-func NewSym(name string) *Sym { return &Sym{Name: name, h: hashSym(name)} }
+func NewSym(name string) *Sym { return &Sym{Name: name} }
 
 // ConstVal reports whether e is a Const and returns its value.
 func ConstVal(e Expr) (int64, bool) {
@@ -319,7 +310,7 @@ func NewBinary(op Op, l, r Expr) Expr {
 			return NewConst(v)
 		}
 		// e.g. division by constant zero
-		return &Binary{Op: op, L: l, R: r, h: hashBinary(op, Hash(l), Hash(r))}
+		return &Binary{Op: op, L: l, R: r}
 	}
 
 	// Algebraic identities on one concrete operand.
@@ -410,7 +401,7 @@ func NewBinary(op Op, l, r Expr) Expr {
 			return NeZero(l)
 		}
 	}
-	return &Binary{Op: op, L: l, R: r, h: hashBinary(op, Hash(l), Hash(r))}
+	return &Binary{Op: op, L: l, R: r}
 }
 
 // ConstSlab mints the non-interned Consts of one single-goroutine
@@ -445,7 +436,7 @@ func (s *ConstSlab) take(v int64) *Const {
 	}
 	c := &s.chunk[s.used]
 	s.used++
-	*c = Const{Val: v, h: hashConst(v)}
+	*c = Const{Val: v}
 	return c
 }
 
@@ -495,7 +486,7 @@ func NewUnary(op Op, x Expr) Expr {
 			return NeZero(u.X) // !!x = (x != 0)
 		}
 	}
-	return &Unary{Op: op, X: x, h: hashUnary(op, Hash(x))}
+	return &Unary{Op: op, X: x}
 }
 
 func invertCmp(op Op) (Op, bool) {
@@ -582,16 +573,12 @@ func NeZero(x Expr) Expr {
 	return NewBinary(OpNe, x, zero)
 }
 
-// Equal reports structural equality of two expressions.
+// Equal reports structural equality of two expressions. A node shared
+// by both sides is equal by pointer; otherwise the trees are walked in
+// step.
 func Equal(a, b Expr) bool {
 	if a == b {
 		return true
-	}
-	// Memoized structural hashes are pure functions of structure, so a
-	// mismatch proves inequality without walking either tree. (0 means
-	// "not memoized" — hand-built node — and disables the fast path.)
-	if ha, hb := memoHash(a), memoHash(b); ha != 0 && hb != 0 && ha != hb {
-		return false
 	}
 	switch av := a.(type) {
 	case *Const:

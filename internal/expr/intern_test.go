@@ -31,59 +31,62 @@ func TestInternIdentityAndBounds(t *testing.T) {
 	}
 }
 
-func TestStructuralHash(t *testing.T) {
-	x, y := NewSym("x"), NewSym("y")
-	same := []Expr{
-		NewBinary(OpAdd, x, NewConst(4)),
-		NewBinary(OpAdd, NewSym("x"), NewConst(4)),
+// TestEqual pins structural equality: separately built twins compare
+// equal, a node assembled by hand included, and every ordered pair of
+// distinct shapes compares unequal.
+func TestEqual(t *testing.T) {
+	x := NewSym("x")
+	twins := []struct {
+		name string
+		a, b Expr
+	}{
+		{"constructor-built", NewBinary(OpAdd, x, NewConst(4)), NewBinary(OpAdd, NewSym("x"), NewConst(4))},
+		{"hand-built", &Binary{Op: OpAdd, L: &Sym{Name: "x"}, R: &Const{Val: 4}}, NewBinary(OpAdd, x, NewConst(4))},
 	}
-	if Hash(same[0]) != Hash(same[1]) {
-		t.Error("structurally equal expressions hash differently")
-	}
-	distinct := []Expr{
-		NewConst(5),
-		NewConst(6),
-		NewSym("x"),
-		NewSym("y"),
-		NewBinary(OpAdd, x, y),
-		NewBinary(OpAdd, y, x), // operand order matters for non-folded ops
-		NewBinary(OpSub, x, y),
-		NewUnary(OpBNot, x),
-		NewBinary(OpLt, x, NewConst(200000)),
-		NewBinary(OpLt, x, NewConst(200001)),
-	}
-	seen := map[uint64]Expr{}
-	for _, e := range distinct {
-		h := Hash(e)
-		if h == 0 {
-			t.Errorf("memoized hash of %s is 0 (reserved for 'not memoized')", e)
+	for _, tc := range twins {
+		if !Equal(tc.a, tc.b) || !Equal(tc.b, tc.a) {
+			t.Errorf("%s: %s and %s compare unequal", tc.name, tc.a, tc.b)
 		}
-		if prev, dup := seen[h]; dup {
-			t.Errorf("hash collision between %s and %s", prev, e)
+	}
+
+	distinct := func() []Expr {
+		x, y := NewSym("x"), NewSym("y")
+		return []Expr{
+			NewConst(5),
+			NewConst(6),
+			NewSym("x"),
+			NewSym("y"),
+			NewBinary(OpAdd, x, y),
+			NewBinary(OpAdd, y, x), // operand order matters for non-folded ops
+			NewBinary(OpSub, x, y),
+			NewUnary(OpBNot, x),
+			NewBinary(OpLt, x, NewConst(200000)),
+			NewBinary(OpLt, x, NewConst(200001)),
 		}
-		seen[h] = e
 	}
-	// Hand-built nodes (no memoized hash) agree with constructor-built.
-	hand := &Binary{Op: OpAdd, L: &Sym{Name: "x"}, R: &Const{Val: 4}}
-	if Hash(hand) != Hash(same[0]) {
-		t.Error("on-the-fly hash of a hand-built node differs from the memoized one")
-	}
-	if !Equal(hand, same[0]) {
-		t.Error("Equal rejects a hand-built structural twin")
+	es, fresh := distinct(), distinct()
+	for i, a := range es {
+		if !Equal(a, fresh[i]) {
+			t.Errorf("%s does not equal its freshly built twin", a)
+		}
+		for j, b := range es {
+			if i != j && Equal(a, b) {
+				t.Errorf("Equal(%s, %s) = true", a, b)
+			}
+		}
 	}
 }
 
-// TestInternSharedConcurrently proves interned constants and memoized
-// hashes are immutable in practice: concurrent classifiers share the
+// TestInternSharedConcurrently proves interned constants and shared
+// nodes are immutable in practice: concurrent classifiers share the
 // nodes freely, so this test — run under -race in CI — hammers the
-// table, the hash memos, and structural comparison from many goroutines
-// at once. Any post-publication write to a shared node would trip the
+// table, rendering, and structural comparison from many goroutines at
+// once. Any post-publication write to a shared node would trip the
 // race detector.
 func TestInternSharedConcurrently(t *testing.T) {
 	// One shared DAG, built once, read by everyone.
 	x := NewSym("x")
 	shared := NewBinary(OpMul, NewBinary(OpAdd, x, NewConst(7)), NewConst(3))
-	wantHash := Hash(shared)
 	wantStr := shared.String()
 
 	var wg sync.WaitGroup
@@ -106,18 +109,14 @@ func TestInternSharedConcurrently(t *testing.T) {
 					errs <- fmt.Errorf("g%d: folding through interned nodes broke", g)
 					return
 				}
-				// Hash and render the shared DAG; both must be stable.
-				if Hash(shared) != wantHash {
-					errs <- fmt.Errorf("g%d: shared DAG hash changed", g)
-					return
-				}
+				// Render the shared DAG; it must be stable.
 				if i%97 == 0 && shared.String() != wantStr {
 					errs <- fmt.Errorf("g%d: shared DAG rendering changed", g)
 					return
 				}
 				// Build a structural twin concurrently and compare.
 				twin := NewBinary(OpMul, NewBinary(OpAdd, NewSym("x"), NewConst(7)), NewConst(3))
-				if !Equal(twin, shared) || Hash(twin) != wantHash {
+				if !Equal(twin, shared) {
 					errs <- fmt.Errorf("g%d: concurrent twin mismatch", g)
 					return
 				}
@@ -139,7 +138,7 @@ func TestInternSharedConcurrently(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if Hash(shared) != wantHash || shared.String() != wantStr {
+	if shared.String() != wantStr {
 		t.Error("shared DAG changed after concurrent use")
 	}
 }
@@ -163,9 +162,9 @@ func TestNewConstAllocFree(t *testing.T) {
 // NewBinary: for every binary operator over values around the intern
 // bounds and far outside them, over a symbolic operand, and over the
 // undefined cases left unfolded (division by zero, shifts out of
-// range), Binary and BinaryK build a structurally equal expression with
-// the same memoized hash, interned values come from the intern table,
-// and the slab's constants are distinct nodes.
+// range), Binary and BinaryK build a structurally equal expression,
+// interned values come from the intern table, and the slab's constants
+// are distinct nodes.
 func TestConstSlabMatchesNewBinary(t *testing.T) {
 	var s ConstSlab
 	x := NewSym("x")
@@ -176,7 +175,7 @@ func TestConstSlabMatchesNewBinary(t *testing.T) {
 			for _, r := range vals {
 				want := NewBinary(op, NewConst(l), NewConst(r))
 				for _, got := range []Expr{s.Binary(op, NewConst(l), NewConst(r)), s.BinaryK(op, NewConst(l), r)} {
-					if !Equal(got, want) || memoHash(got) != Hash(want) {
+					if !Equal(got, want) {
 						t.Fatalf("%v %v %v: slab built %v, NewBinary %v", l, op, r, got, want)
 					}
 					if c, ok := got.(*Const); ok && !Interned(c.Val) {
@@ -190,7 +189,7 @@ func TestConstSlabMatchesNewBinary(t *testing.T) {
 				}
 			}
 			want := NewBinary(op, x, NewConst(l))
-			if got := s.BinaryK(op, x, l); !Equal(got, want) || memoHash(got) != Hash(want) {
+			if got := s.BinaryK(op, x, l); !Equal(got, want) {
 				t.Fatalf("x %v %v: slab built %v, NewBinary %v", op, l, got, want)
 			}
 			if got := s.Binary(op, x, NewConst(l)); !Equal(got, want) {

@@ -61,10 +61,11 @@ type Options struct {
 	MaxCandidatesPerVar int
 	// MaxNodes bounds the number of search tree nodes visited.
 	MaxNodes int
-	// DomainRadius widens every variable's default domain to
-	// [-DomainRadius, DomainRadius] before interval propagation.
-	DomainRadius int64
 }
+
+// domainRadius widens every variable's default domain to
+// [-domainRadius, domainRadius] before interval propagation.
+const domainRadius = 1 << 20
 
 // DefaultOptions returns the budget used across the evaluation,
 // sufficient to decide every query the workload suite generates.
@@ -72,7 +73,6 @@ func DefaultOptions() Options {
 	return Options{
 		MaxCandidatesPerVar: 48,
 		MaxNodes:            200000,
-		DomainRadius:        1 << 20,
 	}
 }
 
@@ -109,9 +109,6 @@ func New(opts Options) *Solver {
 	}
 	if opts.MaxNodes <= 0 {
 		opts.MaxNodes = d.MaxNodes
-	}
-	if opts.DomainRadius <= 0 {
-		opts.DomainRadius = d.DomainRadius
 	}
 	return &Solver{opts: opts}
 }
@@ -433,7 +430,7 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 	// Domains and propagation.
 	domains := make(map[string]*interval, len(names))
 	for _, n := range names {
-		domains[n] = &interval{lo: -s.opts.DomainRadius, hi: s.opts.DomainRadius}
+		domains[n] = &interval{lo: -domainRadius, hi: domainRadius}
 	}
 	if !propagate(flat, domains) {
 		return nil, Unsat
@@ -550,25 +547,4 @@ func (s *Solver) search(flat []expr.Expr, names []string, hints expr.Assignment)
 		return nil, Unknown
 	}
 	return nil, Unsat
-}
-
-// MayBeTrue reports whether cond can be true under the path condition.
-// Unknown is treated as "maybe" (the explorer will keep a concrete witness,
-// so over-approximation here only costs a fork attempt).
-func (s *Solver) MayBeTrue(pc []expr.Expr, cond expr.Expr, hints expr.Assignment) bool {
-	cs := make([]expr.Expr, 0, len(pc)+1)
-	cs = append(cs, pc...)
-	cs = append(cs, expr.NeZero(cond))
-	_, r := s.Solve(cs, hints)
-	return r != Unsat
-}
-
-// MustBeTrue reports whether cond is implied by the path condition
-// (i.e. pc ∧ ¬cond is unsatisfiable).
-func (s *Solver) MustBeTrue(pc []expr.Expr, cond expr.Expr, hints expr.Assignment) bool {
-	cs := make([]expr.Expr, 0, len(pc)+1)
-	cs = append(cs, pc...)
-	cs = append(cs, expr.LNot(expr.NeZero(cond)))
-	_, r := s.Solve(cs, hints)
-	return r == Unsat
 }

@@ -156,23 +156,6 @@ func TestHintsBiasSearch(t *testing.T) {
 	}
 }
 
-func TestMayMustBeTrue(t *testing.T) {
-	s := New(Options{})
-	pc := []expr.Expr{expr.Gt(sym("x"), ci(5))}
-	if !s.MayBeTrue(pc, expr.Eq(sym("x"), ci(6)), nil) {
-		t.Fatal("x==6 may be true when x>5")
-	}
-	if s.MayBeTrue(pc, expr.Eq(sym("x"), ci(3)), nil) {
-		t.Fatal("x==3 cannot be true when x>5")
-	}
-	if !s.MustBeTrue(pc, expr.Gt(sym("x"), ci(4)), nil) {
-		t.Fatal("x>4 must hold when x>5")
-	}
-	if s.MustBeTrue(pc, expr.Gt(sym("x"), ci(6)), nil) {
-		t.Fatal("x>6 need not hold when x>5")
-	}
-}
-
 func TestBooleanFlagConstraints(t *testing.T) {
 	// Typical workload query: flag ∈ {0,1}, flag == 0 path.
 	m := mustSat(t,

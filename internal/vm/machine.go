@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/expr"
@@ -42,6 +43,25 @@ const (
 	AtSteps                     // the first non-sync instruction once State.Steps >= Steps
 )
 
+// stopOn maps each opcode to the conditions besides AtSteps that can
+// hold before it: AtAccess and AtObject at a shared access, AtFork at a
+// JZ, ASSERT, DIV or MOD.
+var stopOn = func() (t [256]StopOn) {
+	for op := range t {
+		if bytecode.OpCode(op).IsSharedAccess() {
+			t[op] = AtAccess | AtObject
+		}
+	}
+	t[bytecode.JZ], t[bytecode.ASSERT], t[bytecode.DIV], t[bytecode.MOD] = AtFork, AtFork, AtFork, AtFork
+	return t
+}()
+
+// gate reports whether s can hold before an instruction with opcode op;
+// Run calls match only where it can.
+func (s *Stop) gate(st *State, op bytecode.OpCode) bool {
+	return s.On&stopOn[op] != 0 || s.On&AtSteps != 0 && st.Steps >= s.Steps
+}
+
 // match reports whether s holds before thread th, whose top frame is fr,
 // executes in.
 func (s *Stop) match(st *State, th *Thread, fr *Frame, in bytecode.Instr) bool {
@@ -72,7 +92,7 @@ func (m *Machine) ForkCond() expr.Expr {
 }
 
 func forkCond(fr *Frame, op bytecode.OpCode) expr.Expr {
-	if op != bytecode.JZ && op != bytecode.ASSERT && op != bytecode.DIV && op != bytecode.MOD || len(fr.Stack) == 0 {
+	if stopOn[op]&AtFork == 0 || len(fr.Stack) == 0 {
 		return nil
 	}
 	top := fr.Stack[len(fr.Stack)-1]
@@ -170,15 +190,17 @@ const interruptStride = 256
 // unlimited).
 //
 // The loop is the analysis' innermost hot path: every replay, alternate
-// enforcement, and multi-path exploration step goes through it. Two
-// structural optimizations keep it lean: the scheduler is consulted (and
-// the runnable set rebuilt) only at actual scheduling points — sync
-// operations and a blocked/exited current thread — instead of before
-// every instruction; and straight-
-// line local arithmetic executes through the program's superinstruction
-// overlay (bytecode fusion pass), one dispatch per fused sequence with
-// instruction counters advanced by the full covered length, so traces,
-// budgets, and race coordinates are bit-identical to unfused execution.
+// enforcement, and multi-path exploration step goes through it. It runs
+// in quanta: the outer loop settles on a runnable current thread, and
+// the inner loop runs it in its top frame until a CALL or RET completes,
+// an instruction blocks, or the pick at a sync op switches threads. The
+// scheduler is consulted only at sync ops and when the current thread
+// cannot run. A quantum fetches the frame's code and fusion overlay
+// once, privatizes the thread and frame once (again after a period-probe
+// snapshot, see snapshotConfig) and tests the stop only where it can
+// hold (Stop.gate). Fused sequences run in one dispatch with counters
+// advanced by their covered length, so traces, budgets, and race
+// coordinates are bit-identical to unfused execution.
 func (m *Machine) Run(budget int64) RunResult {
 	res := m.run(budget)
 	if spinRunHook != nil && m.SpinTrack {
@@ -228,81 +250,102 @@ func (m *Machine) run(budget int64) RunResult {
 			continue
 		}
 
+		// One quantum. Fusion is off under SpinTrack, so the diagnosis's
+		// per-instruction tick window stays exactly as in unfused runs.
 		fr := th.Top()
-		code := st.Prog.Funcs[fr.Fn].Code
-		if fr.PC >= len(code) {
-			return RunResult{Kind: StopError, Err: st.fail(ErrStack, cur, th.PCRef(st.Prog), "pc out of range"), Steps: steps}
+		fn := &st.Prog.Funcs[fr.Fn]
+		code, fused := fn.Code, fn.Fused
+		if m.SpinTrack {
+			fused = nil
 		}
-		in := code[fr.PC]
-		pcref := bytecode.PCRef{Fn: fr.Fn, PC: fr.PC, Line: in.Line}
+		owned := false
+		for first := true; ; first = false {
+			if !first && m.Interrupt != nil {
+				if tick%interruptStride == 0 && m.Interrupt() {
+					return RunResult{Kind: StopCancelled, Steps: steps}
+				}
+				tick++
+			}
+			if fr.PC >= len(code) {
+				return RunResult{Kind: StopError, Err: st.fail(ErrStack, cur, th.PCRef(st.Prog), "pc out of range"), Steps: steps}
+			}
+			in := code[fr.PC]
 
-		// Period probe (spin-tracked runs only, see period.go): on a
-		// proven recurrence of the whole configuration, fast-forward all
-		// whole periods but one; the loop interprets that one while the
-		// probe records it, then the remainder as usual.
-		if probing {
-			var skipped int64
-			skipped, probing = m.probePeriod(steps, budget, fr)
-			steps += skipped
-		}
+			// Period probe (spin-tracked runs only, see period.go): on a
+			// proven recurrence of the whole configuration, fast-forward all
+			// whole periods but one; the loop interprets that one while the
+			// probe records it, then the remainder as usual. A snapshot
+			// shares every layer this quantum owned, and a skip moves the
+			// thread counters, so after either the quantum privatizes again.
+			if probing {
+				var skipped int64
+				skipped, probing = m.probePeriod(steps, budget, fr)
+				if skipped > 0 || atomic.LoadUint32(&st.sharedFlag) != 0 {
+					steps += skipped
+					th = st.Threads[cur]
+					fr, owned = th.Top(), false
+				}
+			}
 
-		// Scheduling decision before sync ops, unless the controller just
-		// picked this very point.
-		if in.Op.IsSyncOp() {
-			if !(m.skipTID == cur && m.skipInstr == th.Instrs) {
+			// Scheduling decision before sync ops, unless the controller just
+			// picked this very point.
+			if in.Op.IsSyncOp() && !(m.skipTID == cur && m.skipInstr == th.Instrs) {
 				m.scratch = st.AppendRunnableTIDs(m.scratch[:0])
 				m.pick(m.scratch)
 				if st.Cur != cur {
+					break
+				}
+			}
+
+			// Re-read m.Stop every time: the race detector lowers its
+			// Steps target from inside exec.
+			if m.Stop.gate(st, in.Op) && m.Stop.match(st, th, fr, in) {
+				return RunResult{Kind: StopBreak, Steps: steps}
+			}
+			if budget >= 0 && steps >= budget {
+				return RunResult{Kind: StopBudget, Steps: steps}
+			}
+
+			// The instruction will now execute: privatize the current thread
+			// and its top frame so the in-place register/stack/PC writes land
+			// on structure this state owns. Only the probe above clones the
+			// state inside a quantum, so once is enough. Other layers
+			// privatize at their write sites in exec.
+			if !owned {
+				th = st.wthread(cur)
+				fr, owned = st.wtop(th), true
+			}
+
+			// Superinstruction fast path: execute a whole fused sequence in
+			// one dispatch. Interior instructions are thread-local and side-
+			// effect-free (no sync ops, shared accesses, jumps, or failure
+			// paths), so skipping their stop/scheduling checks is sound; the
+			// counters advance by the covered length so budgets and traces
+			// cannot tell the difference. Near budget exhaustion (a stop
+			// could land mid-sequence) the sequence runs unfused instead.
+			if fused != nil {
+				if f := &fused[fr.PC]; f.Kind != bytecode.FuseNone && (budget < 0 || steps+int64(f.Len) <= budget) && m.execFused(fr, f) {
+					n := int64(f.Len)
+					th.Instrs += n
+					st.Steps += n
+					steps += n
 					continue
 				}
 			}
-		}
 
-		if m.Stop.On != 0 && m.Stop.match(st, th, fr, in) {
-			return RunResult{Kind: StopBreak, Steps: steps}
-		}
-		if budget >= 0 && steps >= budget {
-			return RunResult{Kind: StopBudget, Steps: steps}
-		}
-
-		// The instruction will now execute: privatize the current thread
-		// and its top frame (stamp comparisons — no copies — when already
-		// owned this epoch) so the in-place register/stack/PC writes below
-		// land on structure this state owns. Other layers privatize at
-		// their write sites in exec.
-		th = st.wthread(cur)
-		fr = st.wtop(th)
-
-		// Superinstruction fast path: execute a whole fused sequence in
-		// one dispatch. Interior instructions are thread-local and side-
-		// effect-free (no sync ops, shared accesses, jumps, or failure
-		// paths), so skipping their stop/scheduling checks is sound; the
-		// counters advance by the covered length so budgets and traces
-		// cannot tell the difference. Near budget exhaustion (a stop
-		// could land mid-sequence) and under spin tracking (per-
-		// instruction tick windows) the sequence runs unfused instead.
-		if !m.SpinTrack {
-			if fs := st.Prog.Funcs[fr.Fn].Fused; fs != nil {
-				if f := &fs[fr.PC]; f.Kind != bytecode.FuseNone && (budget < 0 || steps+int64(f.Len) <= budget) {
-					if m.execFused(fr, f) {
-						n := int64(f.Len)
-						th.Instrs += n
-						st.Steps += n
-						steps += n
-						continue
-					}
-				}
+			completed, err := m.exec(th, fr, in, bytecode.PCRef{Fn: fr.Fn, PC: fr.PC, Line: in.Line})
+			if err != nil {
+				return RunResult{Kind: StopError, Err: err, Steps: steps}
 			}
-		}
-
-		completed, err := m.exec(th, fr, in, pcref)
-		if err != nil {
-			return RunResult{Kind: StopError, Err: err, Steps: steps}
-		}
-		if completed {
+			if !completed {
+				break
+			}
 			th.Instrs++
 			st.Steps++
 			steps++
+			if in.Op == bytecode.CALL || in.Op == bytecode.RET {
+				break
+			}
 		}
 	}
 }
@@ -429,7 +472,9 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 	tid := th.ID
 	p := st.Prog
 
-	m.trackSpinPC(tid, in, pcref)
+	if m.SpinTrack {
+		m.trackSpinPC(tid, in, pcref)
+	}
 
 	switch in.Op {
 	case bytecode.NOP:
@@ -476,7 +521,9 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 	case bytecode.LOADG:
 		loc := Loc{Space: SpaceGlobal, Obj: in.A}
 		st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-		m.trackSpinRead(tid, loc)
+		if m.SpinTrack {
+			m.trackSpinRead(tid, loc)
+		}
 		fr.Stack = append(fr.Stack, st.Globals[in.A][0])
 		fr.PC++
 		return true, nil
@@ -517,7 +564,9 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		loc := Loc{Space: SpaceGlobal, Obj: in.A, Elem: idx}
 		if in.Op == bytecode.LOADE {
 			st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-			m.trackSpinRead(tid, loc)
+			if m.SpinTrack {
+				m.trackSpinRead(tid, loc)
+			}
 			fr.Stack = append(fr.Stack, cells[idx])
 		} else {
 			st.notifyAccess(tid, loc, true, pcref, th.Instrs)
@@ -612,7 +661,9 @@ func (m *Machine) exec(th *Thread, fr *Frame, in bytecode.Instr, pcref bytecode.
 		loc := Loc{Space: SpaceHeap, Obj: ref, Elem: idx}
 		if in.Op == bytecode.LOADH {
 			st.notifyAccess(tid, loc, false, pcref, th.Instrs)
-			m.trackSpinRead(tid, loc)
+			if m.SpinTrack {
+				m.trackSpinRead(tid, loc)
+			}
 			fr.Stack = append(fr.Stack, blk.Cells[idx])
 		} else {
 			st.notifyAccess(tid, loc, true, pcref, th.Instrs)

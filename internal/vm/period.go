@@ -185,7 +185,10 @@ func (m *Machine) probePeriod(steps, budget int64, fr *Frame) (skipped int64, ke
 }
 
 // snapshotConfig records the current configuration and schedules the
-// next snapshot (doubling distances, capped).
+// next snapshot (doubling distances, capped). Its fork marks the state
+// shared, so every layer the run loop's quantum had privatized is the
+// snapshot's too: the loop must privatize the thread and frame again
+// before its next write, or it would write into the snapshot.
 func (m *Machine) snapshotConfig(steps int64, fr *Frame) {
 	p := &m.probe
 	st := m.St

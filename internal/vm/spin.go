@@ -150,9 +150,6 @@ func (m *Machine) spinFor(tid int) *spinInfo {
 }
 
 func (m *Machine) trackSpinPC(tid int, in bytecode.Instr, pc bytecode.PCRef) {
-	if !m.SpinTrack {
-		return
-	}
 	si := m.spinFor(tid)
 	si.ticks++
 	if si.ticks%spinWindow == 0 {
@@ -174,9 +171,6 @@ func (m *Machine) trackSpinPC(tid int, in bytecode.Instr, pc bytecode.PCRef) {
 }
 
 func (m *Machine) trackSpinRead(tid int, loc Loc) {
-	if !m.SpinTrack {
-		return
-	}
 	si := m.spinFor(tid)
 	si.reads.add(loc)
 	if r := m.probe.rec; r != nil {

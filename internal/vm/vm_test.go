@@ -506,6 +506,45 @@ fn main() {
 	}
 }
 
+// TestStopGateCoversMatch pins the run loop's stop gate to Stop.match:
+// at every opcode, under every condition, an instruction before which
+// match holds must pass the gate, or Run would execute past its stop.
+func TestStopGateCoversMatch(t *testing.T) {
+	st := NewState(compileSrc(t, "fn main() { }"), nil, nil)
+	th := st.Threads[0]
+	th.Instrs, st.Steps = 7, 40
+	stops := []Stop{
+		{On: AtAccess, TID: 0, Instrs: 7},
+		{On: AtObject, TID: -1, Space: SpaceGlobal, Obj: 3},
+		{On: AtObject, TID: 0, Space: SpaceHeap},
+		{On: AtFork, TID: -1},
+		{On: AtFork | AtObject, TID: -1, Space: SpaceGlobal, Obj: 3},
+		{On: AtSteps, TID: -1, Steps: 40},
+	}
+	matched := make([]int, len(stops))
+	for _, top := range []expr.Expr{st.NewSym("in0", 0), expr.NewConst(1)} {
+		fr := &Frame{Stack: []expr.Expr{top}}
+		for op := bytecode.NOP; op <= bytecode.ASSERT; op++ {
+			in := bytecode.Instr{Op: op, A: 3}
+			for i := range stops {
+				s := &stops[i]
+				if !s.match(st, th, fr, in) {
+					continue
+				}
+				matched[i]++
+				if !s.gate(st, op) {
+					t.Errorf("%v with stack top %v: match holds for %+v but the gate skips it", op, top, *s)
+				}
+			}
+		}
+	}
+	for i, n := range matched {
+		if n == 0 {
+			t.Errorf("%+v never matched: the check is vacuous", stops[i])
+		}
+	}
+}
+
 func TestBudgetExhaustion(t *testing.T) {
 	_, res := run(t, `
 fn main() {

@@ -27,7 +27,10 @@ package bytecode
 // DIV/MOD (whose symbolic-divisor branching records path constraints)
 // never fuse, and no jump target may land inside a fused sequence.
 
-// FuseKind identifies a superinstruction pattern.
+// FuseKind identifies a superinstruction pattern. Every pattern starts
+// at a LOADL or a PUSH, and vm.Machine.run reads the overlay only before
+// those two opcodes: a pattern that starts elsewhere must extend that
+// test.
 type FuseKind uint8
 
 const (

@@ -101,15 +101,6 @@ func (p *Program) WriteSet(f int) map[int]struct{} {
 	return p.writeSets[f]
 }
 
-// RecomputeWriteSets rebuilds the per-function transitive write sets
-// from the instruction stream. Compile does this automatically; a
-// Program materialized any other way (deserialized from a durable tier
-// snapshot, whose wire form carries only exported fields) must call it
-// before the engine's lock-set analysis consults WriteSet. The sets are
-// a pure, deterministic function of Code, so a recomputed Program is
-// indistinguishable from the originally compiled one.
-func (p *Program) RecomputeWriteSets() { p.computeWriteSets() }
-
 // computeWriteSets computes transitive global write sets per function.
 func (p *Program) computeWriteSets() {
 	n := len(p.Funcs)

@@ -173,6 +173,19 @@ func (s *Store) Len() int {
 	return len(s.entries)
 }
 
+// Steps returns the step counts of the stored checkpoints, ascending:
+// the positions a later run of the same trace can park at to deposit
+// the same checkpoints again.
+func (s *Store) Steps() []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]int64, len(s.entries))
+	for i, e := range s.entries {
+		out[i] = e.State.Steps
+	}
+	return out
+}
+
 // Hits returns how many Resume calls found a usable checkpoint.
 func (s *Store) Hits() int { return int(s.hits.Load()) }
 

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"slices"
 	"sync"
 	"testing"
 
@@ -74,15 +73,6 @@ func (sh shape) resume(t *testing.T, s *Store, limit int64, accept func(*vm.Stat
 		sh.check(t, e, steps)
 	}
 	return steps, ok
-}
-
-// keys lists the step counts a store holds, in order.
-func keys(s *Store) []int64 {
-	var out []int64
-	for _, e := range s.Export().Entries {
-		out = append(out, e.State.Steps)
-	}
-	return out
 }
 
 func TestStoreNearestResume(t *testing.T) {
@@ -356,77 +346,6 @@ func TestStoreConcurrent(t *testing.T) {
 		wg.Wait()
 		if s.Len() != 1 {
 			t.Fatalf("concurrent duplicate Adds leaked: len = %d, want 1", s.Len())
-		}
-	})
-}
-
-// TestStoreExportImport covers the store's durability boundary: an
-// exported store imported into a fresh one keeps every entry's payload,
-// its thinning position, and its hit counters — so the restored store
-// admits and thins exactly like the original — and Import drops
-// duplicate step counts and entries past capacity.
-func TestStoreExportImport(t *testing.T) {
-	forShapes(t, func(t *testing.T, sh shape) {
-		orig := NewStore(4)
-		for _, n := range []int64{10, 20, 30, 40, 50} { // thins to {10,30} stride 20, then 50
-			sh.add(t, orig, n)
-		}
-		sh.resume(t, orig, 35, nil) // hit
-		sh.resume(t, orig, 5, nil)  // miss
-
-		x := orig.Export()
-		if len(x.Entries) != 3 || x.Stride != 20 || x.Thinned != 2 || x.Hits != 1 || x.Misses != 1 {
-			t.Fatalf("export = %d entries stride %d thinned %d hits %d misses %d, want 3/20/2/1/1",
-				len(x.Entries), x.Stride, x.Thinned, x.Hits, x.Misses)
-		}
-		back := NewStore(4)
-		sh.add(t, back, 15) // Import replaces existing content
-		back.Import(x)
-		if back.Len() != 3 || back.Stride() != 20 || back.Thinned() != 2 || back.Hits() != 1 || back.Misses() != 1 {
-			t.Fatalf("imported store: len %d stride %d thinned %d hits %d misses %d, want 3/20/2/1/1",
-				back.Len(), back.Stride(), back.Thinned(), back.Hits(), back.Misses())
-		}
-		var mem int64 // every stored state
-		for _, e := range x.Entries {
-			mem += e.State.MemEstimate()
-		}
-		if back.MemBytes() != mem || orig.MemBytes() != mem {
-			t.Errorf("MemBytes = %d imported, %d original, want %d", back.MemBytes(), orig.MemBytes(), mem)
-		}
-		for _, n := range []int64{10, 30, 50} {
-			if steps, ok := sh.resume(t, back, n, nil); !ok || steps != n {
-				t.Errorf("imported Resume(%d) = steps %d ok %v", n, steps, ok)
-			}
-		}
-
-		// Same Adds, same admission and thinning: 60 is inside the stride,
-		// 70 fills the store, 90 thins {10,30,50,70} to {10,50} (stride
-		// 40) and lands.
-		for _, s := range []*Store{orig, back} {
-			for _, n := range []int64{60, 70, 90} {
-				sh.add(t, s, n)
-			}
-		}
-		if a, b, want := keys(orig), keys(back), []int64{10, 50, 90}; !slices.Equal(a, want) || !slices.Equal(b, want) {
-			t.Fatalf("post-import admission diverged: original %v, imported %v, want [10 50 90]", a, b)
-		}
-		if orig.Stride() != 40 || back.Stride() != 40 || orig.Thinned() != 4 || back.Thinned() != 4 {
-			t.Fatalf("post-import thinning diverged: stride %d/%d thinned %d/%d, want 40/4",
-				orig.Stride(), back.Stride(), orig.Thinned(), back.Thinned())
-		}
-
-		// Import files by step count, keeps the first of a duplicate, and
-		// stops at capacity.
-		first30 := sh.at(t, 30)
-		in := []Entry{first30, sh.at(t, 10), sh.at(t, 30), sh.at(t, 20), sh.at(t, 40), sh.at(t, 50)}
-		capped := NewStore(4)
-		capped.Import(Exported{Entries: in})
-		got := capped.Export().Entries
-		if k := keys(capped); !slices.Equal(k, []int64{10, 20, 30, 40}) {
-			t.Fatalf("import kept %v, want [10 20 30 40]", k)
-		}
-		if got[2].State != first30.State {
-			t.Error("import kept the later duplicate, want the first")
 		}
 	})
 }

@@ -195,12 +195,12 @@ type Options struct {
 	// 0; without it a zero Seed falls back to DefaultOptions().Seed.
 	SeedSet bool
 
-	// Tier, when non-nil, is the checkpoint store every classifier of
-	// the run resumes from and deposits into, instead of the per-run tier
-	// RunStream would otherwise create. Its contents outlive the run, so
-	// the caller owns the soundness contract: a tier may only be shared
-	// between runs of the identical (program, args, inputs, options) —
-	// see CacheTier. Ignored when NoCache is set.
+	// Tier, when non-nil, carries warmth between RunStream runs: the
+	// run's detection pass deposits checkpoints at the tier's positions,
+	// and the run's own store's positions and counters go back to the
+	// tier when it ends. Sharing a tier is worth it only between runs of
+	// the identical (program, args, inputs, options); between any others
+	// it only wastes warmth — see CacheTier. Ignored when NoCache is set.
 	Tier *CacheTier
 
 	// Parallel is the worker-pool width of the classification engine:

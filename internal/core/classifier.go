@@ -20,11 +20,11 @@ type Classifier struct {
 	Opts Options
 	sol  *solver.Solver
 
-	// tier holds the run-wide replay checkpoint store; nil when
+	// store holds the run-wide replay checkpoint store; nil when
 	// Options.NoCache disabled it. ckptHits counts this classifier's
 	// replays and multi-path explorations that resumed from the store; it
 	// is only touched from the goroutine driving ClassifyCtx.
-	tier     *CacheTier
+	store    *runStore
 	ckptHits int
 
 	// prunedSchedules counts worklist items the static dead-item prune
@@ -70,9 +70,20 @@ func (c *Classifier) newMachine(st *vm.State, ctl vm.Controller) *vm.Machine {
 // New returns a classifier; zero fields of opts fall back to defaults.
 // A Seed of 0 is treated as "unset" only when opts.SeedSet is false —
 // callers that mark the seed explicit can pin seed 0 and have it
-// round-trip unchanged. Without opts.Tier (and unless NoCache is set)
-// the classifier gets a private checkpoint tier.
+// round-trip unchanged. Unless NoCache is set, the classifier gets a
+// private checkpoint store, bound to the first trace it classifies;
+// opts.Tier is read only by RunStream.
 func New(prog *bytecode.Program, opts Options) *Classifier {
+	var rs *runStore
+	if !opts.NoCache {
+		rs = newRunStore()
+	}
+	return newClassifier(prog, opts, rs)
+}
+
+// newClassifier is New with the run's checkpoint store (nil: caching
+// off).
+func newClassifier(prog *bytecode.Program, opts Options, rs *runStore) *Classifier {
 	d := DefaultOptions()
 	if opts.Mp <= 0 {
 		opts.Mp = d.Mp
@@ -98,7 +109,7 @@ func New(prog *bytecode.Program, opts Options) *Classifier {
 	if opts.Seed == 0 && !opts.SeedSet {
 		opts.Seed = d.Seed
 	}
-	return &Classifier{Prog: prog, Opts: opts, sol: solver.New(opts.Solver), tier: runTier(opts)}
+	return &Classifier{Prog: prog, Opts: opts, sol: solver.New(opts.Solver), store: rs}
 }
 
 // Classify runs the full Portend analysis on one race report: replay,
@@ -118,10 +129,7 @@ func (c *Classifier) ClassifyCtx(cctx context.Context, rep *race.Report, tr *tra
 	// Rebind (or clear) the hooks on every call: a Classifier reused
 	// after a cancellable-ctx call must not keep polling the old one.
 	c.ctx = cctx
-	c.interrupt = nil
-	if cctx.Done() != nil {
-		c.interrupt = func() bool { return cctx.Err() != nil }
-	}
+	c.interrupt = vm.PollDone(cctx.Done())
 	c.sol.Interrupt = c.interrupt
 	if err := c.canceled(); err != nil {
 		return nil, err
@@ -281,7 +289,7 @@ func (c *Classifier) replayToRace(rep *race.Report, tr *trace.Trace) (*pairCtx, 
 		ctl    vm.Controller
 		budget = c.Opts.RunBudget
 	)
-	store := c.tier.storeFor(tr)
+	store := c.store.storeFor(tr)
 	if store != nil && rep.First.Global > 0 {
 		if e, steps, ok := store.Resume(rep.First.Global, nil); ok {
 			st, ctl = e.State, e.Ctl

@@ -75,19 +75,22 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	}
 
 	// All races of this run share one trace, so they share one replay
-	// checkpoint store: the caller's tier, whose contents outlive the run
-	// so a repeat submission of the identical (program, args, inputs,
-	// options) starts warm, or else a per-run tier. It exists before
-	// detection runs: the detection pass itself deposits replay
-	// checkpoints — at each new race cluster's detection point and on a
-	// periodic cadence — so even the trace's first classification resumes
-	// instead of paying a full root replay. The store cannot change a
+	// checkpoint store, made for this run. It exists before detection
+	// runs: the detection pass itself deposits replay checkpoints — at
+	// each new race cluster's detection point, on a periodic cadence, and
+	// at each position of the caller's tier — so even the trace's first
+	// classification resumes instead of paying a full root replay, and a
+	// repeat submission of the identical (program, args, inputs, options)
+	// starts as warm as its previous run ended. The store cannot change a
 	// verdict (resume is deterministic replay); it only shifts time,
 	// which the determinism suite asserts by diffing runs with the store
 	// on and off. A caller that passes a tier calls BeginRun/end around
 	// RunStream.
 	inner := opts
-	inner.Tier = runTier(opts)
+	var rs *runStore
+	if !opts.NoCache {
+		rs = newRunStore()
+	}
 	// Static pre-analysis: run the internal/sa pass once per run (unless
 	// the caller supplied precomputed facts, e.g. the server's
 	// admission-time artifact) and thread the facts through every
@@ -98,8 +101,11 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 	if !inner.NoStaticPrune && inner.StaticFacts == nil {
 		inner.StaticFacts = sa.Analyze(p)
 	}
-	det := race.DetectWith(ctx, p, args, inputs, budget, detectionConfig(inner))
+	det := race.DetectWith(ctx, p, args, inputs, budget, detectionConfig(inner, rs, opts.Tier.at()))
 	res.Detection = det
+	if rs != nil && opts.Tier != nil {
+		defer opts.Tier.keep(rs, det.Run.Kind != vm.StopCancelled)
+	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -145,7 +151,7 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			v, err := New(p, inner).ClassifyCtx(ctx, det.Reports[i], det.Trace)
+			v, err := newClassifier(p, inner, rs).ClassifyCtx(ctx, det.Reports[i], det.Trace)
 			if cerr := ctx.Err(); cerr != nil {
 				return res, cerr
 			}
@@ -177,7 +183,7 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 					return
 				}
 				if cctx.Err() == nil {
-					v, err := New(p, inner).ClassifyCtx(cctx, det.Reports[i], det.Trace)
+					v, err := newClassifier(p, inner, rs).ClassifyCtx(cctx, det.Reports[i], det.Trace)
 					outs[i] = outcome{v, err}
 				} else {
 					outs[i] = outcome{err: cctx.Err()}
@@ -205,8 +211,8 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 }
 
 // detectionConfig builds the detection-phase checkpointing hooks for a
-// run backed by opts.Tier's checkpoint store (a nil tier — caching off —
-// yields the zero config and plain detection).
+// run backed by rs (a nil rs — caching off — yields the zero config and
+// plain detection), parking also at each of the positions at.
 //
 // Detection runs with the classifier's own observers attached (the
 // all-object access counter, and the predicate observer when predicates
@@ -216,8 +222,8 @@ func RunStream(ctx context.Context, p *bytecode.Program, args, inputs []int64, o
 // replayer over the live trace pinned at the park's decision count —
 // resuming it continues the recorded schedule exactly where the
 // recording stood.
-func detectionConfig(opts Options) race.DetectConfig {
-	if opts.Tier == nil {
+func detectionConfig(opts Options, rs *runStore, at []int64) race.DetectConfig {
+	if rs == nil {
 		return race.DetectConfig{}
 	}
 	var extra []vm.Observer
@@ -228,8 +234,9 @@ func detectionConfig(opts Options) race.DetectConfig {
 	return race.DetectConfig{
 		Extra:         extra,
 		SnapshotEvery: DefaultDetectCheckpointEvery,
+		At:            at,
 		Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
-			if store := opts.Tier.storeFor(tr); store != nil {
+			if store := rs.storeFor(tr); store != nil {
 				store.Add(ckpt.Entry{State: st, Ctl: trace.ReplayerAt(tr, vm.NewRoundRobin(), decisions)})
 			}
 		},

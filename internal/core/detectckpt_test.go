@@ -66,12 +66,12 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 	opts.Parallel = 1
 	opts = New(p, opts).Opts // normalize defaults the way RunStream's classifiers see them
 
-	opts.Tier = NewCacheTier(opts)
-	det := race.DetectWith(context.Background(), p, nil, nil, opts.RunBudget, detectionConfig(opts))
+	rs := newRunStore()
+	det := race.DetectWith(context.Background(), p, nil, nil, opts.RunBudget, detectionConfig(opts, rs, nil))
 	if len(det.Reports) < 3 {
 		t.Fatalf("expected 3 races, got %d", len(det.Reports))
 	}
-	if opts.Tier.store.Len() == 0 {
+	if rs.store.Len() == 0 {
 		t.Fatal("detection deposited no checkpoints")
 	}
 
@@ -81,7 +81,7 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 	if first.First.Global == 0 {
 		t.Fatalf("first race carries no replay coordinate: %+v", first.First)
 	}
-	e, steps, ok := opts.Tier.store.Resume(first.First.Global, nil)
+	e, steps, ok := rs.store.Resume(first.First.Global, nil)
 	if !ok || steps == 0 {
 		t.Fatalf("no detection snapshot at or before race #1's first access (%d): ok=%v steps=%d",
 			first.First.Global, ok, steps)
@@ -91,7 +91,7 @@ func TestDetectionSeedsFirstRace(t *testing.T) {
 	}
 
 	// Classifying race #1 against the detection-seeded store resumes.
-	v, err := New(p, opts).Classify(first, det.Trace)
+	v, err := newClassifier(p, opts, rs).Classify(first, det.Trace)
 	if err != nil {
 		t.Fatalf("classify: %v", err)
 	}

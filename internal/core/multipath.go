@@ -81,7 +81,7 @@ type mpResult struct {
 // from the root.
 func (c *Classifier) multipathRoot(rep *race.Report, tr *trace.Trace) *pathItem {
 	limit := rep.First.Global
-	if store := c.tier.storeFor(tr); store != nil && limit > 0 {
+	if store := c.store.storeFor(tr); store != nil && limit > 0 {
 		accept := func(st *vm.State) bool {
 			ac := findAccessCounter(st)
 			if ac == nil || ac.touchedObj(rep.Key.Space, rep.Key.Obj) {

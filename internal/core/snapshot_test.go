@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bytecode"
-	"repro/internal/vm"
+	"repro/internal/ckpt"
+	"repro/internal/race"
 )
 
 // runOnTier runs one analysis against the tier, the way the server does:
-// BeginRun to (re)bind the trace, Run with the tier attached, end.
+// BeginRun, Run with the tier attached, end.
 func runOnTier(t *testing.T, tier *CacheTier, src string, inputs []int64) *Result {
 	t.Helper()
 	return runOnTierWith(t, tier, src, snapshotTestOptions(), inputs)
@@ -41,11 +44,11 @@ func newSnapshotTestTier() *CacheTier {
 	return NewCacheTier(snapshotTestOptions())
 }
 
-// TestTierSnapshotRoundTrip is the durability tentpole at the core seam:
-// a populated tier survives Snapshot → gob → Restore with its stats
-// intact, and a second run on the restored tier is warm (cross-run
-// checkpoint hits) while producing byte-identical verdicts to a run on
-// the original in-memory tier.
+// TestTierSnapshotRoundTrip is durability at the core seam: a populated
+// tier survives Snapshot → gob → Restore with its stats intact, and a
+// second run on the restored tier is warm (cross-run checkpoint hits)
+// while producing byte-identical verdicts to a run on the original
+// in-memory tier.
 func TestTierSnapshotRoundTrip(t *testing.T) {
 	tierA := newSnapshotTestTier()
 	resA1 := runOnTier(t, tierA, detectSeedSrc, []int64{3})
@@ -92,10 +95,9 @@ func TestTierSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotIfIdleRefusesActiveRun pins the mid-run guard: a snapshot
-// taken while a run records would capture a trace prefix that the stored
-// replay controllers overrun, so SnapshotIfIdle must refuse until the
-// last active run ends.
+// TestSnapshotIfIdleRefusesActiveRun pins the flush de-duplication: while
+// runs overlap, SnapshotIfIdle refuses until the last active run ends,
+// and that run's flush writes the tier once.
 func TestSnapshotIfIdleRefusesActiveRun(t *testing.T) {
 	tier := newSnapshotTestTier()
 	end1 := tier.BeginRun()
@@ -150,20 +152,18 @@ type tierCase struct {
 	inputs []int64
 }
 
-// tracelessCases are a concrete program and one whose exploration
+// tierCases are a concrete program and one whose exploration
 // mainline forks on a symbolic input before every race.
-var tracelessCases = []tierCase{
+var tierCases = []tierCase{
 	{"concrete", detectSeedSrc, snapshotTestOptions, []int64{3}},
 	{"mainline", siblingSkipProg, symOptions, []int64{2}},
 }
 
-// TestSnapshotOfRestoredTierRestores is a regression test: a restored
-// tier has no bound trace until a run's detection binds one, and its
-// snapshot used to write no trace next to its replay controllers, so the
-// restart after a flush of such a tier rejected the file ("replay
-// controller in a snapshot without a trace").
+// TestSnapshotOfRestoredTierRestores pins that a restored tier, flushed
+// again before any run, restores to the same positions and counters, and
+// that a run on the re-restored tier renders exactly like a cold tier.
 func TestSnapshotOfRestoredTierRestores(t *testing.T) {
-	for _, tc := range tracelessCases {
+	for _, tc := range tierCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tier := restoredTestTier(t, tc)
 			checkReRestore(t, tier, tier.Snapshot(), tc)
@@ -172,10 +172,10 @@ func TestSnapshotOfRestoredTierRestores(t *testing.T) {
 }
 
 // TestSnapshotAfterCancelledRunRestores is the server-shaped variant: a
-// restored tier whose run is cancelled before detection binds a trace is
-// then flushed through SnapshotIfIdle.
+// restored tier whose run is cancelled before detection completes keeps
+// its positions, and is then flushed through SnapshotIfIdle.
 func TestSnapshotAfterCancelledRunRestores(t *testing.T) {
-	for _, tc := range tracelessCases {
+	for _, tc := range tierCases {
 		t.Run(tc.name, func(t *testing.T) {
 			tier := restoredTestTier(t, tc)
 			end := tier.BeginRun()
@@ -198,7 +198,7 @@ func TestSnapshotAfterCancelledRunRestores(t *testing.T) {
 }
 
 // restoredTestTier analyzes tc on a fresh tier and restores that tier's
-// snapshot into a new one, whose trace binding is clear.
+// snapshot into a new one.
 func restoredTestTier(t *testing.T, tc tierCase) *CacheTier {
 	t.Helper()
 	seed := NewCacheTier(tc.opts())
@@ -214,7 +214,7 @@ func restoredTestTier(t *testing.T, tc tierCase) *CacheTier {
 }
 
 // checkReRestore restores snap, taken of from, into a fresh tier, which
-// must hold the same entries and traffic counters as from and analyze
+// must hold the same positions and traffic counters as from and analyze
 // tc exactly like a cold tier.
 func checkReRestore(t *testing.T, from *CacheTier, snap *TierSnapshot, tc tierCase) {
 	t.Helper()
@@ -232,133 +232,148 @@ func checkReRestore(t *testing.T, from *CacheTier, snap *TierSnapshot, tc tierCa
 	}
 }
 
-// syncSeedSrc races on x after a barrier, and declares a mutex and a
-// cond, so its checkpoint states carry one entry in each sync table for
-// the misfit cases below to corrupt.
-const syncSeedSrc = `
-var x = 0
-var acc = 0
-mutex m
-cond c
-barrier b(2)
-fn w() {
-	lock(m)
-	unlock(m)
-	barrier_wait(b)
-	x = 7
+// tierRun is one run of a tierCase on a tier: its rendering, the
+// checkpoint hits it took, and the positions the tier kept after it.
+type tierRun struct {
+	render    string
+	hits      int
+	positions []int64
 }
-fn main() {
-	for i = 0, 200 { acc = acc + 1 }
-	let t = spawn w()
-	barrier_wait(b)
-	x = 1
-	join(t)
-	lock(m)
-	signal(c)
-	unlock(m)
-	print("x=", x)
-}`
 
-// TestRestoreRejectsMisfitStates pins that Restore refuses checkpoint
-// states that do not fit the snapshot's program, instead of importing
-// states the next run cannot execute: the restore fails, the tier stays
-// cold, and the next run on it classifies exactly like a cold tier.
-func TestRestoreRejectsMisfitStates(t *testing.T) {
-	type seeded struct {
-		tier *CacheTier
-		cold string
-	}
-	seeds := map[string]seeded{}
-	for _, src := range []string{detectSeedSrc, syncSeedSrc} {
-		tier := newSnapshotTestTier()
-		runOnTier(t, tier, src, []int64{3})
-		seeds[src] = seeded{tier, renderRun(runOnTier(t, newSnapshotTestTier(), src, []int64{3}))}
-	}
+func runTierCase(t *testing.T, tier *CacheTier, tc tierCase, width int) tierRun {
+	t.Helper()
+	opts := tc.opts()
+	opts.Parallel = width
+	before := tier.Stats().CheckpointHits
+	res := runOnTierWith(t, tier, tc.src, opts, tc.inputs)
+	return tierRun{renderRun(res), tier.Stats().CheckpointHits - before, tier.Snapshot().Positions}
+}
 
-	states := func(snap *TierSnapshot, f func(sw *vm.StateWire)) {
-		for _, e := range snap.Concrete {
-			f(e.State)
+// TestTierPositionsStable pins warmth as one mechanism: three runs of one
+// submission on one tier keep the same positions after each run, render
+// like a cache-off run, and the two warm runs take the same hits.
+func TestTierPositionsStable(t *testing.T) {
+	for _, tc := range tierCases {
+		for _, width := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/width=%d", tc.name, width), func(t *testing.T) {
+				off := tc.opts()
+				off.NoCache = true
+				p := bytecode.MustCompile(tc.src, "snaptest", bytecode.Options{})
+				want := renderRun(Run(p, nil, tc.inputs, off))
+
+				tier := NewCacheTier(tc.opts())
+				var runs []tierRun
+				for i := 0; i < 3; i++ {
+					r := runTierCase(t, tier, tc, width)
+					if r.render != want {
+						t.Fatalf("run %d changed verdicts\n--- cache off ---\n%s\n--- run ---\n%s", i+1, want, r.render)
+					}
+					runs = append(runs, r)
+				}
+				if len(runs[0].positions) == 0 {
+					t.Fatal("the tier kept no positions; the test is vacuous")
+				}
+				for i := 1; i < 3; i++ {
+					if !slices.Equal(runs[i].positions, runs[0].positions) {
+						t.Errorf("positions after run %d = %v, after run 1 %v", i+1, runs[i].positions, runs[0].positions)
+					}
+				}
+				if runs[1].hits != runs[2].hits || runs[1].hits == 0 {
+					t.Errorf("warm runs took %d and %d hits, want the same, nonzero", runs[1].hits, runs[2].hits)
+				}
+			})
 		}
 	}
-	threads := func(snap *TierSnapshot, f func(tw *vm.ThreadWire, n int)) {
-		states(snap, func(sw *vm.StateWire) {
-			for i := range sw.Threads {
-				f(&sw.Threads[i], len(sw.Threads))
-			}
-		})
-	}
-	frames := func(snap *TierSnapshot, f func(fw *vm.FrameWire)) {
-		threads(snap, func(tw *vm.ThreadWire, _ int) {
-			for j := range tw.Frames {
-				f(&tw.Frames[j])
-			}
-		})
-	}
-	cases := []struct {
-		name    string
-		src     string
-		corrupt func(snap *TierSnapshot)
-	}{
-		{"nil program", detectSeedSrc, func(snap *TierSnapshot) { snap.Program = nil }},
-		{"no functions", detectSeedSrc, func(snap *TierSnapshot) { snap.Program.Funcs = nil }},
-		{"no globals", detectSeedSrc, func(snap *TierSnapshot) {
-			states(snap, func(sw *vm.StateWire) { sw.Globals = nil })
-		}},
-		{"pc past code", detectSeedSrc, func(snap *TierSnapshot) { frames(snap, func(fw *vm.FrameWire) { fw.PC = 1 << 20 }) }},
-		{"function out of range", detectSeedSrc, func(snap *TierSnapshot) {
-			n := len(snap.Program.Funcs)
-			frames(snap, func(fw *vm.FrameWire) { fw.Fn = n })
-		}},
-		{"cur names no thread", detectSeedSrc, func(snap *TierSnapshot) {
-			states(snap, func(sw *vm.StateWire) { sw.Cur = len(sw.Threads) })
-		}},
-		{"thread id not its index", detectSeedSrc, func(snap *TierSnapshot) {
-			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.ID++ })
-		}},
-		{"status out of range", detectSeedSrc, func(snap *TierSnapshot) {
-			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.Status = uint8(vm.ThExited) + 1 })
-		}},
-		{"wait mutex out of range", syncSeedSrc, func(snap *TierSnapshot) {
-			n := len(snap.Program.Mutexes)
-			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitMutex = n })
-		}},
-		{"wait cond out of range", syncSeedSrc, func(snap *TierSnapshot) {
-			n := len(snap.Program.Conds)
-			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitCond = n })
-		}},
-		{"wait barrier below none", syncSeedSrc, func(snap *TierSnapshot) {
-			threads(snap, func(tw *vm.ThreadWire, _ int) { tw.WaitBarrier = -2 })
-		}},
-		{"wait join names no thread", detectSeedSrc, func(snap *TierSnapshot) {
-			threads(snap, func(tw *vm.ThreadWire, n int) { tw.WaitJoin = n })
-		}},
-		{"mutex owner names no thread", syncSeedSrc, func(snap *TierSnapshot) {
-			states(snap, func(sw *vm.StateWire) { sw.MutexOwners[0] = len(sw.Threads) })
-		}},
-		{"cond waiter names no thread", syncSeedSrc, func(snap *TierSnapshot) {
-			states(snap, func(sw *vm.StateWire) { sw.Conds[0] = append(sw.Conds[0], len(sw.Threads)) })
-		}},
-		{"barrier arrival names no thread", syncSeedSrc, func(snap *TierSnapshot) {
-			states(snap, func(sw *vm.StateWire) { sw.Barriers[0] = append(sw.Barriers[0], -1) })
-		}},
-	}
-	for _, tc := range cases {
+}
+
+// TestOverlappingRunsBothSeeded pins that runs overlapping on one warm
+// tier each get their own store, seeded from the tier's positions: a
+// second run started and finished while the first is between verdicts
+// takes as many checkpoint hits as a warm run, and so does the first.
+func TestOverlappingRunsBothSeeded(t *testing.T) {
+	for _, tc := range tierCases {
 		t.Run(tc.name, func(t *testing.T) {
-			seed := seeds[tc.src]
-			snap := gobRoundTrip(t, seed.tier.Snapshot())
-			if len(snap.Concrete) == 0 {
-				t.Fatal("seed tier holds no checkpoints; the test is vacuous")
+			p := bytecode.MustCompile(tc.src, "snaptest", bytecode.Options{})
+			opts := tc.opts()
+			off := opts
+			off.NoCache = true
+			want := renderRun(Run(p, nil, tc.inputs, off))
+
+			tier := NewCacheTier(opts)
+			runTierCase(t, tier, tc, 1)
+			warm := runTierCase(t, tier, tc, 1).hits
+			opts.Tier = tier
+
+			hits := func(res *Result) (n int) {
+				for _, v := range res.Verdicts {
+					n += v.Stats.CheckpointHits
+				}
+				return n
 			}
-			tc.corrupt(snap)
+			var inner *Result
+			endOuter := tier.BeginRun()
+			outer, err := RunStream(context.Background(), p, nil, tc.inputs, opts, func(*race.Report, *Verdict, error) bool {
+				if inner == nil {
+					endInner := tier.BeginRun()
+					inner = Run(p, nil, tc.inputs, opts)
+					endInner()
+				}
+				return true
+			})
+			endOuter()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, res := range map[string]*Result{"outer": outer, "inner": inner} {
+				if got := renderRun(res); got != want {
+					t.Errorf("%s run changed verdicts\n--- cache off ---\n%s\n--- run ---\n%s", name, want, got)
+				}
+				if got := hits(res); got != warm || got == 0 {
+					t.Errorf("%s run took %d checkpoint hits, a warm run %d", name, got, warm)
+				}
+			}
+		})
+	}
+}
+
+// TestRestoreValidatesPositions pins Restore's one check: a position
+// list that is not strictly ascending, positive and at most
+// ckpt.DefaultMax long is an error and leaves the tier as it was; any
+// other list restores, and a run on it renders like a cold tier.
+func TestRestoreValidatesPositions(t *testing.T) {
+	long := make([]int64, ckpt.DefaultMax+1)
+	for i := range long {
+		long[i] = int64(i + 1)
+	}
+	for _, tc := range []struct {
+		name string
+		ps   []int64
+		ok   bool
+	}{
+		{"unsorted", []int64{64, 10, 200}, false},
+		{"negative", []int64{-5, 10}, false},
+		{"zero", []int64{0, 10}, false},
+		{"duplicate", []int64{10, 10, 20}, false},
+		{"over-long", long, false},
+		{"longest", long[:ckpt.DefaultMax], true},
+		{"past-the-end", []int64{64, 1 << 40}, true},
+		{"foreign", []int64{3, 17, 99, 1000, 1001}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			tier := newSnapshotTestTier()
-			if err := tier.Restore(snap); err == nil {
-				t.Fatal("Restore accepted states that do not fit the program")
+			err := tier.Restore(&TierSnapshot{Runs: 7, Positions: tc.ps})
+			if tc.ok != (err == nil) {
+				t.Fatalf("Restore(%v) = %v, want ok %v", tc.ps, err, tc.ok)
 			}
-			if s := tier.Stats(); s != (TierStats{}) || tier.Runs() != 0 {
-				t.Fatalf("failed Restore left the tier warm: %+v, runs %d", s, tier.Runs())
+			if !tc.ok {
+				if s := tier.Stats(); s != (TierStats{}) || tier.Runs() != 0 {
+					t.Fatalf("failed Restore changed the tier: %+v, runs %d", s, tier.Runs())
+				}
+				return
 			}
-			if got := renderRun(runOnTier(t, tier, tc.src, []int64{3})); got != seed.cold {
-				t.Errorf("run after a failed Restore differs from a cold tier\n--- cold ---\n%s\n--- after ---\n%s", seed.cold, got)
+			cold := renderRun(runOnTier(t, newSnapshotTestTier(), detectSeedSrc, []int64{3}))
+			if got := renderRun(runOnTier(t, tier, detectSeedSrc, []int64{3})); got != cold {
+				t.Errorf("run on restored positions differs from a cold tier\n--- cold ---\n%s\n--- restored ---\n%s", cold, got)
 			}
 		})
 	}

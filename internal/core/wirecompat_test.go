@@ -5,16 +5,16 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
-// tierGoldenPath is a checked-in portend-tier/1 payload (the gob body
-// dstore frames) captured from a populated tier before the persistent
-// copy-on-write state representation landed. It pins the on-disk wire
-// form: whatever the in-memory State looks like, tiers written by older
-// builds must keep decoding, and re-encoding what was decoded must
-// reproduce the same wire shape.
-const tierGoldenPath = "testdata/tier_v1.golden"
+// tierGoldenPath is a checked-in portend-tier/2 payload (the gob body
+// dstore frames): the positions and counters of a tier after one run of
+// detectSeedSrc. It pins the on-disk wire form: tiers written by older
+// builds of this schema must keep decoding and restoring, and
+// re-snapshotting what was restored must reproduce the same bytes.
+const tierGoldenPath = "testdata/tier_v2.golden"
 
 // Regenerate (only when the schema version is deliberately bumped) with:
 //
@@ -27,7 +27,7 @@ func writeTierGolden(t *testing.T) []byte {
 		t.Fatalf("golden seed run produced %d verdicts, want >= 3", len(res.Verdicts))
 	}
 	if tier.Stats().Checkpoints == 0 {
-		t.Fatal("golden seed run deposited no checkpoints; fixture would be vacuous")
+		t.Fatal("golden seed run kept no checkpoints; fixture would be vacuous")
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(tier.Snapshot()); err != nil {
@@ -42,24 +42,11 @@ func writeTierGolden(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestTierWireCompat asserts portend-tier/1 wire stability across the
-// persistent-state refactor: the pre-refactor fixture decodes, restores
-// into a live tier, and a fresh Snapshot of that tier re-encodes to the
-// same bytes. Any representational change that leaks into the wire form
-// (renamed fields, reordered canonical sorts, a persistent heap node
-// that fails to flatten back to the flat sorted HeapBlockWire schema)
-// breaks this byte-for-byte.
-//
-// Two deliberate normalizations, both properties of gob/Restore rather
-// than of the state representation under test:
-//   - gob type IDs are numbered in process-global registration order, so
-//     the reference bytes are the fixture re-encoded in this process (the
-//     fixture's own raw bytes pin decodability; TestTierSurvivesRestart
-//     pins whole-file byte identity in the single-process server flow);
-//   - Restore leaves the shared trace binding clear by design (the next
-//     run binds its own recorded trace), so the decoded trace is carried
-//     onto the re-snapshot before comparing. The trace is pure slices
-//     whose bytes the determinism suites already pin.
+// TestTierWireCompat asserts portend-tier/2 wire stability: the fixture
+// decodes, restores into a live tier, and a fresh Snapshot of that tier
+// re-encodes to the same bytes. gob numbers type IDs in process-global
+// registration order, so the reference bytes are the fixture re-encoded
+// in this process; the fixture's own raw bytes pin decodability.
 func TestTierWireCompat(t *testing.T) {
 	raw, err := os.ReadFile(tierGoldenPath)
 	if os.Getenv("PORTEND_WRITE_TIER_GOLDEN") == "1" {
@@ -71,22 +58,16 @@ func TestTierWireCompat(t *testing.T) {
 
 	var snap TierSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		t.Fatalf("decode pre-refactor fixture: %v", err)
+		t.Fatalf("decode fixture: %v", err)
 	}
 	tier := NewCacheTier(DefaultOptions())
 	if err := tier.Restore(&snap); err != nil {
-		t.Fatalf("restore pre-refactor fixture: %v", err)
+		t.Fatalf("restore fixture: %v", err)
 	}
 	if tier.Stats().Checkpoints == 0 {
-		t.Fatal("restored fixture holds no checkpoints; fixture is stale or truncated")
+		t.Fatal("restored fixture holds no positions; fixture is stale or truncated")
 	}
 
-	resnap := tier.Snapshot()
-	resnap.Trace = snap.Trace
-
-	// Encode reference and candidate only now, after Restore/Snapshot
-	// finished all nested observer/controller encodes: both streams then
-	// see the same global type-ID numbering and must be byte-identical.
 	enc := func(v any) []byte {
 		t.Helper()
 		var b bytes.Buffer
@@ -95,19 +76,14 @@ func TestTierWireCompat(t *testing.T) {
 		}
 		return b.Bytes()
 	}
-	ref, got := enc(&snap), enc(resnap)
-	if !bytes.Equal(got, ref) {
-		i := 0
-		for i < len(got) && i < len(ref) && got[i] == ref[i] {
-			i++
-		}
-		t.Fatalf("restored tier re-encodes to different bytes (%d vs %d, first diff at %d): portend-tier/1 wire form drifted",
-			len(got), len(ref), i)
+	if ref, got := enc(&snap), enc(tier.Snapshot()); !bytes.Equal(got, ref) {
+		t.Fatalf("restored tier re-encodes to different bytes (%d vs %d): portend-tier/2 wire form drifted",
+			len(got), len(ref))
 	}
 
-	// The restored snapshot must also be live, not just re-encodable: a
-	// run against it resumes warm and yields the same verdicts as a cold
-	// tier, which is what the durable store promises across restarts.
+	// The restored tier must also be live, not just re-encodable: a run
+	// on it resumes warm, yields the same verdicts as a cold tier, and
+	// keeps the same positions.
 	cold := newSnapshotTestTier()
 	resCold := runOnTier(t, cold, detectSeedSrc, []int64{3})
 	before := tier.Stats().CheckpointHits
@@ -118,19 +94,10 @@ func TestTierWireCompat(t *testing.T) {
 	if tier.Stats().CheckpointHits-before < 1 {
 		t.Error("run on fixture-restored tier reported no cross-run checkpoint hits")
 	}
+	if got, want := tier.Snapshot().Positions, snap.Positions; !slices.Equal(got, want) {
+		t.Errorf("run on fixture-restored tier kept positions %v, fixture %v", got, want)
+	}
 }
-
-// tierSymGoldenPath is a second portend-tier/1 payload, written by the
-// build that still had the sibling-outcome memo, the adaptive
-// solver-cache cap and the exploration-mainline checkpoint store:
-// siblingSkipProg analyzed on a tier with NoStaticPrune (symOptions).
-// Both fixtures carry a Solver section (the deleted solver cache) that
-// the decoder no longer declares; this one also carries the Sym section
-// of mainline checkpoints with their pending forks and fork IDs, a memo
-// table, and the solver section's Cap, Resizes and per-entry
-// SearchNodes. gob skips all of them. Nothing can write those fields
-// any more, so the fixture has no regeneration path.
-const tierSymGoldenPath = "testdata/tier_v1_sym.golden"
 
 // siblingSkipProg forks an else-arm sibling on input() that bypasses
 // every race and only touches `done`, so every race's exploration runs
@@ -175,42 +142,6 @@ func symOptions() Options {
 	o := snapshotTestOptions()
 	o.NoStaticPrune = true
 	return o
-}
-
-// TestTierWireCompatSymbolic pins that tiers written before the memo,
-// the adaptive-sizing fields and the mainline store were dropped still
-// restore, and that what they restore is live: the replay checkpoints
-// come back, and a run on the restored tier yields the cold tier's
-// verdicts, items and branches.
-func TestTierWireCompatSymbolic(t *testing.T) {
-	raw, err := os.ReadFile(tierSymGoldenPath)
-	if err != nil {
-		t.Fatalf("read %s: %v", tierSymGoldenPath, err)
-	}
-	var snap TierSnapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		t.Fatalf("decode symbolic fixture: %v", err)
-	}
-	tier := NewCacheTier(symOptions())
-	if err := tier.Restore(&snap); err != nil {
-		t.Fatalf("restore symbolic fixture: %v", err)
-	}
-	if tier.Stats().Checkpoints == 0 {
-		t.Fatal("restored fixture holds no replay checkpoints; fixture is stale or truncated")
-	}
-
-	resCold := runOnTierWith(t, NewCacheTier(symOptions()), siblingSkipProg, symOptions(), []int64{2})
-	resWarm := runOnTierWith(t, tier, siblingSkipProg, symOptions(), []int64{2})
-	if a, b := renderRun(resCold), renderRun(resWarm); a != b {
-		t.Errorf("fixture-restored tier changed verdicts\n--- cold ---\n%s\n--- restored ---\n%s", a, b)
-	}
-	for i := range resCold.Verdicts {
-		c, w := resCold.Verdicts[i].Stats, resWarm.Verdicts[i].Stats
-		if c.PathItemsRun != w.PathItemsRun || c.Branches != w.Branches {
-			t.Errorf("verdict %d: restored tier ran %d items / %d branches, cold tier %d / %d",
-				i, w.PathItemsRun, w.Branches, c.PathItemsRun, c.Branches)
-		}
-	}
 }
 
 // TestResumedPendingForksPreserveVerdicts pins that on siblingSkipProg,

@@ -2,9 +2,9 @@
 // cache tier, in a versioned, checksummed container format, written
 // crash-safely.
 //
-// File format (schema portend-tier/1):
+// File format (schema portend-tier/2):
 //
-//	magic    "portend-tier/1\n"
+//	magic    "portend-tier/2\n"
 //	length   8 bytes, big-endian — payload byte count
 //	payload  gob-encoded snapshot (the caller's type; dstore is agnostic)
 //	crc      4 bytes, big-endian — IEEE CRC-32 of the payload
@@ -42,7 +42,7 @@ import (
 // magic (newline-terminated). Bump it when the snapshot wire form
 // changes incompatibly — old files then fail the magic check and are
 // quarantined, never misdecoded.
-const Schema = "portend-tier/1"
+const Schema = "portend-tier/2"
 
 const (
 	suffix           = ".tier"
@@ -168,8 +168,8 @@ func (d *Dir) Load(key string, out any) error {
 	}
 	n := binary.BigEndian.Uint64(rest[:8])
 	rest = rest[8:]
-	if uint64(len(rest)) < n+4 {
-		return fmt.Errorf("%w: %s: truncated payload (%d of %d bytes)", ErrBadFile, key, len(rest), n+4)
+	if n > uint64(len(rest)-4) { // len(rest) >= 4: the header check above
+		return fmt.Errorf("%w: %s: truncated payload (%d of %d bytes)", ErrBadFile, key, len(rest)-4, n)
 	}
 	body := rest[:n]
 	want := binary.BigEndian.Uint32(rest[n : n+4])

@@ -121,6 +121,20 @@ func TestTruncatedFileRejected(t *testing.T) {
 	}
 }
 
+// A header claiming more payload than any file holds is rejected, not
+// sliced: a length near 2^64 used to wrap the bounds check and panic.
+func TestHugeLengthRejected(t *testing.T) {
+	d := open(t)
+	raw := append([]byte(Schema+"\n"), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4)
+	if err := os.WriteFile(filepath.Join(d.Path(), "k4.tier"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out payload
+	if err := d.Load("k4", &out); !errors.Is(err, ErrBadFile) {
+		t.Fatalf("huge-length load err = %v, want ErrBadFile", err)
+	}
+}
+
 // An injected write failure must leave the previous live file intact.
 func TestInjectedWriteFailureKeepsOldFile(t *testing.T) {
 	fault.Reset()

@@ -36,14 +36,14 @@ type DetectConfig struct {
 
 	// Snapshot, when non-nil, receives the running state at detection-
 	// phase checkpoint points: the first clean park after each new race
-	// cluster's detection, plus every SnapshotEvery completed
-	// instructions of progress. The state is parked between instructions
-	// with the detector detached (classification replays never carry
-	// one), tr is the live — still recording — trace, and decisions is
-	// the number of scheduling decisions consumed so far: the replay
-	// position of the park (see trace.ReplayerAt). The callback must
-	// treat the state as read-only and not retain it past the call;
-	// depositing into a ckpt.Store clones it.
+	// cluster's detection, every SnapshotEvery completed instructions of
+	// progress, and each position in At. The state is parked between
+	// instructions with the detector detached (classification replays
+	// never carry one), tr is the live — still recording — trace, and
+	// decisions is the number of scheduling decisions consumed so far:
+	// the replay position of the park (see trace.ReplayerAt). The
+	// callback must treat the state as read-only and not retain it past
+	// the call; depositing into a ckpt.Store clones it.
 	Snapshot func(st *vm.State, tr *trace.Trace, decisions int)
 
 	// SnapshotEvery is the initial periodic snapshot cadence in completed
@@ -57,6 +57,14 @@ type DetectConfig struct {
 	// cluster-detection point, so only cadence-deposited checkpoints can
 	// lie before it.
 	SnapshotEvery int64
+
+	// At lists further checkpoint positions, ascending State.Steps
+	// values: the run parks at the first clean point at or past each one
+	// that the recording reaches and hands that state to Snapshot too. A
+	// park at a position leaves the periodic cadence where it was. These
+	// are the positions an earlier run of the same submission kept; the
+	// trace and inputs fix every state, so a position names its state.
+	At []int64
 }
 
 // Detect runs the program with the given concrete arguments and input log
@@ -85,10 +93,7 @@ func DetectWith(ctx context.Context, p *bytecode.Program, args, inputs []int64, 
 	det := NewDetector()
 	st.Observers = append(st.Observers, det)
 	st.Observers = append(st.Observers, cfg.Extra...)
-	var interrupt func() bool
-	if ctx.Done() != nil {
-		interrupt = func() bool { return ctx.Err() != nil }
-	}
+	interrupt := vm.PollDone(ctx.Done())
 	var (
 		tr  *trace.Trace
 		res vm.RunResult
@@ -128,8 +133,19 @@ func recordSnapshotting(st *vm.State, det *Detector, budget int64, interrupt fun
 	if every > 0 {
 		next = every
 	}
-	m.Stop = vm.Stop{On: vm.AtSteps, Steps: next}
-	det.OnNew = func(*Report) { m.Stop.Steps = st.Steps } // park at the next clean point
+	at := cfg.At
+	target := func() int64 {
+		if len(at) > 0 && at[0] < next {
+			return at[0]
+		}
+		return next
+	}
+	m.Stop = vm.Stop{On: vm.AtSteps, Steps: target()}
+	cluster := false
+	det.OnNew = func(*Report) { // park at the next clean point
+		m.Stop.Steps = st.Steps
+		cluster = true
+	}
 	defer func() { det.OnNew = nil }()
 
 	remaining := budget
@@ -144,13 +160,20 @@ func recordSnapshotting(st *vm.State, det *Detector, budget int64, interrupt fun
 		if remaining >= 0 {
 			remaining -= res.Steps
 		}
-		if every > 0 {
+		for len(at) > 0 && at[0] <= st.Steps {
+			at = at[1:]
+		}
+		// A cadence or cluster park moves the cadence; a park only at a
+		// position does not, so the cadence parks of a run given
+		// positions are those of a run without them.
+		if every > 0 && (cluster || st.Steps >= next) {
 			if st.Steps >= next {
 				every *= 2 // geometric cadence: O(log T) periodic deposits
 			}
 			next = st.Steps + every
 		}
-		m.Stop.Steps = next
+		cluster = false
+		m.Stop.Steps = target()
 		snapshotParked(st, det, t, cfg)
 	}
 }

@@ -3,6 +3,7 @@ package race
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -133,5 +134,54 @@ func TestDetectClusterSnapshot(t *testing.T) {
 		if snapSteps[i] < rep.Second.Global {
 			t.Errorf("cluster %d snapshot at %d precedes its detection point %d", i, snapSteps[i], rep.Second.Global)
 		}
+	}
+}
+
+// TestDetectAtPositions pins DetectConfig.At: a recording given
+// positions deposits at each one it reaches and never past its end, its
+// cadence and cluster deposits are exactly those of a recording without
+// positions, and the trace and reports are unchanged.
+func TestDetectAtPositions(t *testing.T) {
+	p := bytecode.MustCompile(snapSrc, "snapat", bytecode.Options{})
+	record := func(every int64, at []int64) ([]int64, *DetectionResult) {
+		var steps []int64
+		res := DetectWith(context.Background(), p, nil, nil, 2_000_000, DetectConfig{
+			SnapshotEvery: every,
+			At:            at,
+			Snapshot: func(st *vm.State, tr *trace.Trace, decisions int) {
+				steps = append(steps, st.Steps)
+			},
+		})
+		return steps, res
+	}
+	base, plain := record(64, nil)
+	// Clean park points of another cadence, so each position parks
+	// exactly there, plus one position past the end of the trace.
+	other, _ := record(50, nil)
+	end := plain.Final.Steps
+	at := append(slices.Clone(other), end+100)
+
+	got, res := record(64, at)
+	want := slices.Clone(base)
+	for _, s := range other {
+		if !slices.Contains(want, s) {
+			want = append(want, s)
+		}
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("deposits with positions = %v\nwant the cadence deposits %v and the positions %v", got, base, other)
+	}
+	if len(base) == 0 || len(other) == 0 || slices.Equal(base, other) {
+		t.Fatalf("cadences 64 and 50 deposit %v and %v; the test is vacuous", base, other)
+	}
+	if got[len(got)-1] > end {
+		t.Errorf("deposit at %d, past the end of the trace (%d)", got[len(got)-1], end)
+	}
+	if want, have := renderReports(plain.Reports, p), renderReports(res.Reports, p); want != have {
+		t.Errorf("reports differ\n--- without positions ---\n%s--- with ---\n%s", want, have)
+	}
+	if want, have := plain.Trace.String(), res.Trace.String(); want != have {
+		t.Errorf("traces differ\n--- without positions ---\n%s\n--- with ---\n%s", want, have)
 	}
 }

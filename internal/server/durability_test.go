@@ -118,7 +118,7 @@ func TestTierSurvivesRestart(t *testing.T) {
 	}
 
 	// The canonical warm workload must observe actual cross-run reuse,
-	// not just a nonempty store: restored checkpoints serve the replay.
+	// not just a nonempty tier: restored positions seed the replay.
 	req := Request{Workload: "sqlite", Options: &RequestOptions{Parallel: 1}}
 	_, _, again := remoteVerdicts(t, c2, req)
 	delta := again.Tier.CheckpointHits - coldDone["workload/sqlite"].Tier.CheckpointHits

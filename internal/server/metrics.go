@@ -103,7 +103,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	g("portend_tiers", "Resident persistent cache tiers.", "gauge", nTiers)
 	g("portend_tier_evictions_total", "Whole tiers evicted by the registry's LRU bound.", "counter", tierEvictions)
 	g("portend_tier_bytes", "Measured memory footprint of all resident cache tiers.", "gauge", tierBytes)
-	g("portend_tier_checkpoints", "Concrete replay checkpoints resident across tiers.", "gauge", agg.Checkpoints)
-	g("portend_tier_checkpoint_hits_total", "Replays and explorations resumed from a tier's checkpoint store.", "counter", agg.CheckpointHits)
+	g("portend_tier_checkpoints", "Checkpoint positions resident across tiers.", "gauge", agg.Checkpoints)
+	g("portend_tier_checkpoint_hits_total", "Replays and explorations resumed from a checkpoint by runs on resident tiers.", "counter", agg.CheckpointHits)
 	g("portend_tier_checkpoint_thinned_total", "Concrete checkpoints dropped by store thinning.", "counter", agg.CheckpointThinned)
 }

@@ -46,14 +46,15 @@ type Config struct {
 	// one (default: the engine default, GOMAXPROCS).
 	DefaultParallel int
 
-	// DataDir, when set, makes cache tiers durable: each tier is
-	// serialized to one checksummed file under the directory (see
-	// internal/dstore) after its runs finish and again on drain, and is
-	// restored lazily on the first request for its key after a restart —
-	// repeat submissions then report warmStart across process lifetimes,
-	// with byte-identical verdicts. Corrupt or version-skewed files are
-	// quarantined and logged and the tier starts cold; durability
-	// failures never fail a request.
+	// DataDir, when set, makes cache tiers durable: each tier's
+	// checkpoint positions and counters are written to one checksummed
+	// file under the directory (see internal/dstore) after its runs
+	// finish and again on drain, and are restored lazily on the first
+	// request for its key after a restart — repeat submissions then
+	// report warmStart across process lifetimes, with byte-identical
+	// verdicts. Corrupt or version-skewed files are quarantined and
+	// logged and the tier starts cold; durability failures never fail a
+	// request.
 	DataDir string
 
 	// RunTimeout, when positive, is the per-run watchdog: an analysis
@@ -69,16 +70,17 @@ type Config struct {
 
 // estTierMB is the per-tier memory estimate that derives the default
 // tier-count bound from MemoryBudgetMB: 256 MB / 8 MB = 32 tiers. It
-// dates from before copy-on-write snapshots (64 checkpoints × ~2 stores
-// × ~50KB state clones, plus a solver memo the engine no longer keeps,
-// rounded up) and is now far too high. The 63-program labeled corpus measures about 0.4 MB of
-// portend_tier_bytes in total, yet its cold pass evicts 31 tiers by
-// count, and with a data dir every request of a warm pass reloads its
-// tier from disk (63 portend_tier_restores_total per pass). So this
-// count bound, not the measured byte budget, is what evicts. Lifting it
-// trades memory for warm-pass latency: on a 2-core Xeon, serving that
-// corpus with the bound lifted raised peak RSS about 9% and cut p50
-// request latency about a quarter.
+// dates from tiers that held checkpoint states (64 checkpoints × ~2
+// stores × ~50KB state clones, plus a solver memo the engine no longer
+// keeps, rounded up). A tier now holds at most 64 positions, 512 bytes,
+// so the rationale no longer holds; the bound stays until the verdict
+// cache replaces tiers (ROADMAP item 3). It is what evicts: the
+// 63-program labeled corpus's cold pass evicts 31 tiers by count, and
+// with a data dir every request of a warm pass reloads its tier from
+// disk (63 portend_tier_restores_total per pass). Lifting it trades
+// memory for warm-pass latency: on a 2-core Xeon, serving that corpus
+// with the bound lifted raised peak RSS about 9% and cut p50 request
+// latency about a quarter.
 const estTierMB = 8
 
 func (c Config) withDefaults() Config {
@@ -380,8 +382,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The tier key hashes the effective options, so degraded runs get a
-	// tier of their own — a coarser run's checkpoints are states of a
-	// different exploration and must not warm a full-budget run.
+	// tier of their own — a coarser run keeps checkpoints where its own
+	// exploration wanted them, which would not warm a full-budget run.
 	key := keyFor(&req, opts)
 	tier := s.tierFor(key)
 	before := tier.Stats()
@@ -507,11 +509,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	endOnce()
 
 	if panicked {
-		// Isolate the blast radius: this run may have died mid-deposit,
-		// so its tier (and its durable file) cannot be trusted — evict
-		// both and let the next identical submission rebuild cold. The
-		// admission slot is freed by the deferred release; every other
-		// tenant's run is untouched.
+		// Isolate the blast radius: evict this run's tier and its
+		// durable file, so the next identical submission starts cold.
+		// The admission slot is freed by the deferred release; every
+		// other tenant's run is untouched.
 		s.metrics.runPanics.Add(1)
 		s.tiers.evict(key)
 		if s.store != nil {
@@ -526,8 +527,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Whatever the run deposited is sound even if the stream died or the
-	// run ended in a terminal error — persist the warmth.
+	// Whatever positions the run kept are worth keeping even if the
+	// stream died or the run ended in a terminal error — persist the
+	// warmth.
 	s.flushTier(key, tier)
 
 	if aborted {

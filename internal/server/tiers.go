@@ -11,9 +11,9 @@ import (
 
 // tierKey addresses a cache tier: the SHA-256 of the submission's
 // canonical fingerprint. Identical keys mean identical (program, args,
-// inputs, engine options) — the soundness contract core.CacheTier
-// requires — so the deterministic engine records the identical trace
-// and cached states are interchangeable across runs.
+// inputs, engine options) — the warmth contract of core.CacheTier — so
+// the deterministic engine records the identical trace and a tier's
+// checkpoint positions name the same states in every run.
 type tierKey [sha256.Size]byte
 
 // fingerprint captures everything that shapes a run's trace and
@@ -38,7 +38,7 @@ type fingerprint struct {
 
 // keyFor derives the tier key for a request resolved to effective
 // engine options (post-degradation, so degraded runs get their own
-// tier and never poison a full-budget tier's checkpoints).
+// tier and never overwrite a full-budget tier's positions).
 func keyFor(req *Request, opts core.Options) tierKey {
 	fp := fingerprint{
 		Workload:  req.Workload,
@@ -68,7 +68,7 @@ func keyFor(req *Request, opts core.Options) tierKey {
 
 // tierRegistry is the LRU-bounded map from submission key to its
 // persistent cache tier. Eviction drops whole tiers (their checkpoint
-// stores) — the memory budget is enforced at tier granularity,
+// positions) — the memory budget is enforced at tier granularity,
 // against measured tier footprints (core.CacheTier.MemBytes), with a
 // hard tier-count bound on top (which binds first; see estTierMB).
 type tierRegistry struct {
@@ -121,9 +121,8 @@ func (r *tierRegistry) get(key tierKey) (tier *core.CacheTier, created bool) {
 }
 
 // evict drops the tier for key (used to poison the tier of a panicking
-// run: a panic mid-deposit may have left its stores inconsistent, so
-// the whole tier is discarded rather than trusted). Reports whether a
-// tier was resident.
+// run, whose durable file is removed too, so the next identical
+// submission rebuilds cold). Reports whether a tier was resident.
 func (r *tierRegistry) evict(key tierKey) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()

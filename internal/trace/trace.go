@@ -57,15 +57,6 @@ func NewTraceFor(st *vm.State) *Trace {
 	}
 }
 
-// Clone deep-copies the trace.
-func (t *Trace) Clone() *Trace {
-	return &Trace{
-		Decisions: append([]Decision(nil), t.Decisions...),
-		Args:      append([]int64(nil), t.Args...),
-		Inputs:    append([]int64(nil), t.Inputs...),
-	}
-}
-
 // Recorder wraps a controller and appends every decision to a Trace.
 type Recorder struct {
 	Inner vm.Controller
@@ -122,9 +113,6 @@ func NewReplayer(t *Trace, fallback vm.Controller) *Replayer {
 func ReplayerAt(t *Trace, fallback vm.Controller, pos int) *Replayer {
 	return &Replayer{T: t, Fallback: fallback, pos: pos, DivergedAt: -1}
 }
-
-// Pos returns how many trace decisions have been consumed.
-func (r *Replayer) Pos() int { return r.pos }
 
 // PickNext follows the trace while it matches.
 func (r *Replayer) PickNext(st *vm.State, runnable []int) int {

@@ -134,13 +134,3 @@ func TestDecisionMetadata(t *testing.T) {
 		t.Fatal("trace rendering empty")
 	}
 }
-
-func TestTraceClone(t *testing.T) {
-	tr, _ := record(t, []int64{2})
-	c := tr.Clone()
-	c.Decisions[0].TID = 99
-	c.Args[0] = 77
-	if tr.Decisions[0].TID == 99 || tr.Args[0] == 77 {
-		t.Fatal("clone aliases original")
-	}
-}

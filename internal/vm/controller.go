@@ -10,15 +10,6 @@ type RoundRobin struct {
 // NewRoundRobin returns a fresh round-robin controller.
 func NewRoundRobin() *RoundRobin { return &RoundRobin{last: -1} }
 
-// RoundRobinAt returns a round-robin controller resuming its rotation
-// after thread id last (-1 for a fresh rotation). It reconstructs a
-// serialized controller at its recorded position.
-func RoundRobinAt(last int) *RoundRobin { return &RoundRobin{last: last} }
-
-// Last returns the thread id chosen most recently (-1 before the first
-// choice) — the controller's full serializable position.
-func (rr *RoundRobin) Last() int { return rr.last }
-
 // PickNext returns the first runnable thread with id greater than the last
 // choice, wrapping around.
 func (rr *RoundRobin) PickNext(st *State, runnable []int) int {
@@ -62,14 +53,6 @@ func NewRandom(seed uint64) *Random {
 	}
 	return &Random{s: seed}
 }
-
-// RandomAt returns a random controller continuing from the exact
-// xorshift state s (serialization support; use NewRandom to seed).
-func RandomAt(s uint64) *Random { return &Random{s: s} }
-
-// State returns the controller's current xorshift state, the complete
-// information needed to reproduce its future picks.
-func (r *Random) State() uint64 { return r.s }
 
 func (r *Random) next() uint64 {
 	r.s ^= r.s << 13

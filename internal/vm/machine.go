@@ -185,6 +185,24 @@ func (m *Machine) pick(runnable []int) {
 // polls; cancellation latency is bounded by this many instructions.
 const interruptStride = 256
 
+// PollDone returns an Interrupt that reports whether done is closed — a
+// context's Done channel — by a non-blocking receive, which takes no
+// lock. It returns nil for a nil channel (a context that is never
+// cancelled), so Run does not poll at all.
+func PollDone(done <-chan struct{}) func() bool {
+	if done == nil {
+		return nil
+	}
+	return func() bool {
+		select {
+		case <-done:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
 // Run executes until the program finishes, fails, deadlocks, reaches
 // its stop, is interrupted, or exhausts the budget (budget < 0 means
 // unlimited).
@@ -323,7 +341,9 @@ func (m *Machine) run(budget int64) RunResult {
 			// counters advance by the covered length so budgets and traces
 			// cannot tell the difference. Near budget exhaustion (a stop
 			// could land mid-sequence) the sequence runs unfused instead.
-			if fused != nil {
+			// Only a LOADL or a PUSH can start a sequence (fuse.go), so
+			// the overlay is read only there.
+			if fused != nil && (in.Op == bytecode.LOADL || in.Op == bytecode.PUSH) {
 				if f := &fused[fr.PC]; f.Kind != bytecode.FuseNone && (budget < 0 || steps+int64(f.Len) <= budget) && m.execFused(fr, f) {
 					n := int64(f.Len)
 					th.Instrs += n

@@ -198,7 +198,7 @@ type Observer interface {
 }
 
 // globalEpoch mints state epochs. Epoch 0 is reserved for states that
-// were built directly (NewState, DecodeState, struct literals in tests)
+// were built directly (NewState, struct literals in tests)
 // and have never been cloned: their layer stamps are all zero, so they
 // own everything they reference without any initialization.
 var globalEpoch uint64

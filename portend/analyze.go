@@ -164,9 +164,7 @@ func Exec(ctx context.Context, t Target, budget int64) (*ExecResult, error) {
 	}
 	st := vm.NewState(r.prog, r.args, r.inputs)
 	m := vm.NewMachine(st, vm.NewRoundRobin())
-	if ctx.Done() != nil {
-		m.Interrupt = func() bool { return ctx.Err() != nil }
-	}
+	m.Interrupt = vm.PollDone(ctx.Done())
 	start := time.Now()
 	res := m.Run(budget)
 	dur := time.Since(start) // before output rendering: Duration is pure interpretation
